@@ -1,67 +1,56 @@
 //! `bench` — attribution regression harness and matrix sweep driver.
 //!
 //! ```text
-//! bench regress [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!               [--telemetry]
-//!
-//! regress             run the pinned workload matrix and write the
-//!                     attribution snapshot to BENCH_attrib.json
-//! --check             compare the current tree against the committed
-//!                     baseline instead of overwriting it; exit 1 on drift
-//!                     (the fresh measurement is left in
-//!                     BENCH_attrib.current.json for inspection)
-//! --baseline <file>   baseline path (default BENCH_attrib.json)
-//! --tolerance <pct>   allowed relative drift per metric (default 2.0)
-//! --jobs <n>          simulate matrix points on n host threads (default 1;
-//!                     results are bit-identical at any job count)
-//! --telemetry         measure with the full live-telemetry observer
-//!                     running (registry, rate pipeline, loopback HTTP
-//!                     server); with --check this is the observer-
-//!                     passivity gate — results must stay bit-identical
-//!
+//! bench regress  [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
+//!                [--telemetry]
 //! bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
+//! bench perf     [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
+//!                [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]
 //!
-//! critpath            run the pinned workload matrix with the
-//!                     critical-path profiler on, print the on-path
-//!                     busy/memory/sync split and headline what-if
-//!                     speedups, and write the snapshot to
-//!                     BENCH_critpath.json
-//! --check             gate against the committed baseline instead of
-//!                     overwriting it; exit 1 on drift (the fresh
-//!                     measurement lands in BENCH_critpath.current.json)
-//! --baseline <file>   baseline path (default BENCH_critpath.json)
-//! --tolerance <pct>   allowed relative drift per metric (default 2.0)
-//! --jobs <n>          simulate matrix points on n host threads (default 1;
-//!                     output is bit-identical at any job count)
+//! The three gates share one harness (study_bench::gate): each runs the
+//! pinned workload matrix and writes its baseline file, or with --check
+//! compares against it. Fields are judged Exact (any change fails),
+//! Drift (a relative change beyond the tolerance either way fails) or
+//! Slower (only a relative slowdown fails, after dividing out the
+//! matrix-wide machine-speed factor):
 //!
-//! bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!            [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]
+//!   gate      baseline             Exact    Drift                     Slower
+//!   regress   BENCH_attrib.json    -        wall_ns mem_stall_ns      -
+//!                                           queue_ns misses causes[5]
+//!   critpath  BENCH_critpath.json  -        wall_ns path[7] whatif[6] -
+//!   perf      BENCH_engine.json    events   -                         ns_per_event
 //!
-//! perf                time the pinned workload matrix on the host clock
-//!                     (median of --reps repetitions after a discarded
-//!                     warmup) and write the throughput snapshot to
-//!                     BENCH_engine.json; also measures the host-time
-//!                     overhead of each optional subsystem (attrib,
-//!                     trace, sanitize, profile, live) against an
-//!                     all-off pass
-//! --check             gate against the committed baseline instead of
-//!                     overwriting it; exit 1 on drift (the fresh
-//!                     measurement lands in BENCH_engine.current.json).
-//!                     Event counts must match exactly; ns/event drift
-//!                     is judged after dividing out the matrix-wide
-//!                     machine-speed factor, so only *relative* per-cell
-//!                     regressions fail
-//! --baseline <file>   baseline path (default BENCH_engine.json)
-//! --tolerance <pct>   allowed relative ns/event drift (default 35.0)
-//! --reps <k>          timed repetitions per cell (default 3)
-//! --json <file>       also write the full report (entries + overhead
-//!                     rows) to <file>
-//! --profile <file>    run one profiled pass (cfg.profile=on) and write
-//!                     the aggregate host profile as Chrome-trace JSON
-//!                     to <file> (chrome://tracing, Perfetto)
-//! --no-overhead       skip the subsystem-overhead passes
-//! --jobs <n>          measure cells on n host threads (events stay
-//!                     deterministic; timings are per-cell, not wall)
+//! regress             the attribution snapshot (miss classification on)
+//! critpath            the critical-path snapshot (profiler on); also
+//!                     prints the on-path busy/memory/sync split and the
+//!                     headline what-if speedups
+//! perf                host throughput: the median of --reps timed
+//!                     repetitions after a discarded warmup; also
+//!                     measures the host-time overhead of each optional
+//!                     subsystem (attrib, trace, sanitize, profile, live)
+//!                     against an all-off pass
+//! --check             compare against the baseline instead of
+//!                     overwriting it; exit 1 on a violation (the fresh
+//!                     measurement lands in BENCH_*.current.json)
+//! --baseline <file>   baseline path (default: the gate's file above)
+//! --tolerance <pct>   allowed relative change per field (default 2.0;
+//!                     perf 35.0)
+//! --jobs <n>          simulate matrix points on n host threads (default
+//!                     1; regress and critpath output is bit-identical at
+//!                     any job count, perf events stay deterministic and
+//!                     timings are per-cell)
+//! --telemetry         (regress) measure with the full live-telemetry
+//!                     observer running (registry, rate pipeline,
+//!                     loopback HTTP server); with --check this is the
+//!                     observer-passivity gate — results must stay
+//!                     bit-identical
+//! --reps <k>          (perf) timed repetitions per cell (default 3)
+//! --json <file>       (perf) also write the full report (entries +
+//!                     overhead rows) to <file>
+//! --profile <file>    (perf) run one profiled pass (cfg.profile=on) and
+//!                     write the aggregate host profile as Chrome-trace
+//!                     JSON to <file> (chrome://tracing, Perfetto)
+//! --no-overhead       (perf) skip the subsystem-overhead passes
 //!
 //! bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]
 //!             [--retry-quarantined] [--retries <n>] [--timeout-s <s>]
@@ -164,14 +153,12 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use ccnuma_sim::json;
 use ccnuma_sweep::matrix::MatrixSpec;
 use ccnuma_sweep::{sweep, SweepConfig};
 use ccnuma_telemetry::hub::{Hub, HubConfig};
+use study_bench::gate::{Entry, Gate};
 use study_bench::{critpath, live, perf, regress, schedsan};
-
-const DEFAULT_BASELINE: &str = "BENCH_attrib.json";
-const DEFAULT_PERF_BASELINE: &str = "BENCH_engine.json";
-const DEFAULT_CRITPATH_BASELINE: &str = "BENCH_critpath.json";
 
 fn usage(code: i32) -> ! {
     eprintln!(
@@ -218,9 +205,9 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("regress") => cmd_regress(&args[1..]),
-        Some("critpath") => cmd_critpath(&args[1..]),
-        Some("perf") => cmd_perf(&args[1..]),
+        Some("regress") => cmd_gate(&regress::GATE, &args[1..]),
+        Some("critpath") => cmd_gate(&critpath::GATE, &args[1..]),
+        Some("perf") => cmd_gate(&perf::GATE, &args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
@@ -241,12 +228,19 @@ fn parse_count(it: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
     }
 }
 
-fn cmd_regress(args: &[String]) -> ! {
+/// `bench regress|critpath|perf`: measure the pinned matrix for `gate`,
+/// then write its baseline or, with `--check`, gate against it.
+fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
+    let is_perf = gate.verb == "perf";
     let mut check = false;
-    let mut baseline = DEFAULT_BASELINE.to_string();
-    let mut tolerance = 100.0 * regress::DEFAULT_TOLERANCE;
+    let mut baseline = gate.baseline.to_string();
+    let mut tolerance = 100.0 * gate.tolerance;
     let mut jobs = 1;
     let mut telemetry = false;
+    let mut reps = perf::DEFAULT_REPS;
+    let mut json_out: Option<PathBuf> = None;
+    let mut profile_out: Option<PathBuf> = None;
+    let mut overhead = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -260,7 +254,17 @@ fn cmd_regress(args: &[String]) -> ! {
                 _ => usage(2),
             },
             "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--telemetry" => telemetry = true,
+            "--telemetry" if gate.verb == "regress" => telemetry = true,
+            "--reps" if is_perf => reps = parse_count(&mut it, "--reps"),
+            "--json" if is_perf => match it.next() {
+                Some(f) => json_out = Some(PathBuf::from(f)),
+                None => usage(2),
+            },
+            "--profile" if is_perf => match it.next() {
+                Some(f) => profile_out = Some(PathBuf::from(f)),
+                None => usage(2),
+            },
+            "--no-overhead" if is_perf => overhead = false,
             "--help" | "-h" => usage(0),
             other => {
                 eprintln!("error: unexpected argument {other:?}");
@@ -269,15 +273,91 @@ fn cmd_regress(args: &[String]) -> ! {
         }
     }
 
-    eprintln!(
-        "[bench] measuring the pinned matrix ({} apps x {} proc counts, {jobs} job(s))...",
+    let current = match gate.verb {
+        "regress" => measure_regress(jobs, telemetry),
+        "critpath" => measure_critpath(jobs),
+        _ => measure_perf(jobs, reps, overhead, profile_out, json_out),
+    };
+    let render = |entries: &[Entry]| {
+        if is_perf {
+            perf::to_json(reps, entries)
+        } else {
+            gate.to_json(&[], entries)
+        }
+    };
+
+    if !check {
+        if let Err(e) = std::fs::write(&baseline, render(&current)) {
+            fail(&format!("cannot write {baseline}: {e}"));
+        }
+        eprintln!("[bench] wrote baseline {baseline}");
+        std::process::exit(0);
+    }
+
+    let doc = match std::fs::read_to_string(&baseline) {
+        Ok(d) => d,
+        Err(e) => fail(&format!(
+            "cannot read baseline {baseline}: {e} (generate it with `bench {}`)",
+            gate.verb
+        )),
+    };
+    let compared = if is_perf {
+        perf::parse(&doc)
+            .map(|(model, _, base)| perf::compare(&model, &base, &current, tolerance / 100.0))
+    } else {
+        gate.parse(&doc)
+            .map(|base| gate.compare(&base, &current, tolerance / 100.0))
+    };
+    let msgs = match compared {
+        Ok(m) => m,
+        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
+    };
+    let (noun, relative, problems) = if is_perf {
+        ("cells", " (relative)", "violation(s)")
+    } else {
+        ("points", "", "drift(s)")
+    };
+    if msgs.is_empty() {
+        eprintln!(
+            "[bench] OK: {} {noun} within {tolerance}%{relative} of {baseline}",
+            current.len()
+        );
+        std::process::exit(0);
+    }
+    let current_path = format!("{baseline}.current.json");
+    let current_path = current_path.replace(".json.current.json", ".current.json");
+    if let Err(e) = std::fs::write(&current_path, render(&current)) {
+        eprintln!("warning: cannot write {current_path}: {e}");
+    } else {
+        eprintln!("[bench] fresh measurement written to {current_path}");
+    }
+    eprintln!("[bench] FAIL: {} {problems} vs {baseline}:", msgs.len());
+    for m in &msgs {
+        eprintln!("  {m}");
+    }
+    std::process::exit(1);
+}
+
+/// The pinned matrix's shape, for progress lines.
+fn pinned_matrix() -> String {
+    format!(
+        "{} apps x {} proc counts",
         regress::MATRIX_APPS.len(),
         regress::MATRIX_PROCS.len()
+    )
+}
+
+/// `bench regress`: the attribution snapshot, optionally with the whole
+/// live-telemetry observer stack running.
+fn measure_regress(jobs: usize, telemetry: bool) -> Vec<Entry> {
+    eprintln!(
+        "[bench] measuring the pinned matrix ({}, {jobs} job(s))...",
+        pinned_matrix()
     );
     // With --telemetry the whole observer stack runs during the
     // measurement: the registry refresher, the rate pipeline, and the
-    // HTTP/SSE server on a loopback port. The comparison below is then
-    // the observer-passivity gate: telemetry on or off, the attribution
+    // HTTP/SSE server on a loopback port. The comparison is then the
+    // observer-passivity gate: telemetry on or off, the attribution
     // numbers must be bit-identical.
     let observer = telemetry.then(|| {
         let wiring = live::Wiring::start(Duration::from_millis(100));
@@ -297,10 +377,8 @@ fn cmd_regress(args: &[String]) -> ! {
         (wiring, hub)
     });
     let t0 = std::time::Instant::now();
-    let current = match regress::measure_with_jobs(jobs) {
-        Ok(c) => c,
-        Err(e) => fail(&format!("measurement failed: {e}")),
-    };
+    let current = regress::measure_with_jobs(jobs)
+        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     if let Some((wiring, hub)) = observer {
         wiring.stop();
         hub.shutdown();
@@ -310,186 +388,43 @@ fn cmd_regress(args: &[String]) -> ! {
         current.len(),
         t0.elapsed()
     );
-
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, regress::to_json(&current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench regress`)"
-        )),
-    };
-    let base = match regress::parse(&doc) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = regress::compare(&base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} points within {tolerance}% of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, regress::to_json(&current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} drift(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
+    current
 }
 
-/// `bench critpath`: run the pinned matrix with the critical-path
-/// profiler on and (with `--check`) gate the on-path composition and
-/// what-if projections against `BENCH_critpath.json`.
-fn cmd_critpath(args: &[String]) -> ! {
-    let mut check = false;
-    let mut baseline = DEFAULT_CRITPATH_BASELINE.to_string();
-    let mut tolerance = 100.0 * critpath::DEFAULT_TOLERANCE;
-    let mut jobs = 1;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = f.clone(),
-                None => usage(2),
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) if t >= 0.0 => tolerance = t,
-                _ => usage(2),
-            },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                usage(2);
-            }
-        }
-    }
-
+/// `bench critpath`: the critical-path snapshot, plus its share table.
+fn measure_critpath(jobs: usize) -> Vec<Entry> {
     eprintln!(
-        "[bench] profiling the pinned matrix ({} apps x {} proc counts, {jobs} job(s))...",
-        regress::MATRIX_APPS.len(),
-        regress::MATRIX_PROCS.len()
+        "[bench] profiling the pinned matrix ({}, {jobs} job(s))...",
+        pinned_matrix()
     );
     let t0 = std::time::Instant::now();
-    let current = match critpath::measure_with_jobs(jobs) {
-        Ok(c) => c,
-        Err(e) => fail(&format!("measurement failed: {e}")),
-    };
+    let current = critpath::measure_with_jobs(jobs)
+        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     eprintln!(
         "[bench] profiled {} points in {:.1?}",
         current.len(),
         t0.elapsed()
     );
     eprint!("{}", critpath::table(&current));
-
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, critpath::to_json(&current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench critpath`)"
-        )),
-    };
-    let base = match critpath::parse(&doc) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = critpath::compare(&base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} points within {tolerance}% of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, critpath::to_json(&current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} drift(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
+    current
 }
 
-/// `bench perf`: time the pinned matrix, report subsystem overhead, and
-/// (with `--check`) gate host throughput against `BENCH_engine.json`.
-fn cmd_perf(args: &[String]) -> ! {
-    let mut check = false;
-    let mut baseline = DEFAULT_PERF_BASELINE.to_string();
-    let mut tolerance = 100.0 * perf::DEFAULT_TOLERANCE;
-    let mut jobs = 1;
-    let mut reps = perf::DEFAULT_REPS;
-    let mut json_out: Option<PathBuf> = None;
-    let mut profile_out: Option<PathBuf> = None;
-    let mut overhead = true;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = f.clone(),
-                None => usage(2),
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) if t >= 0.0 => tolerance = t,
-                _ => usage(2),
-            },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--reps" => reps = parse_count(&mut it, "--reps"),
-            "--json" => match it.next() {
-                Some(f) => json_out = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--profile" => match it.next() {
-                Some(f) => profile_out = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--no-overhead" => overhead = false,
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                usage(2);
-            }
-        }
-    }
-
+/// `bench perf`: the throughput snapshot, plus the subsystem-overhead
+/// passes, the optional profiled pass, and the optional full report.
+fn measure_perf(
+    jobs: usize,
+    reps: usize,
+    overhead: bool,
+    profile_out: Option<PathBuf>,
+    json_out: Option<PathBuf>,
+) -> Vec<Entry> {
     eprintln!(
-        "[bench] timing the pinned matrix ({} apps x {} proc counts, \
-         {reps} rep(s) + warmup, {jobs} job(s))...",
-        regress::MATRIX_APPS.len(),
-        regress::MATRIX_PROCS.len()
+        "[bench] timing the pinned matrix ({}, {reps} rep(s) + warmup, {jobs} job(s))...",
+        pinned_matrix()
     );
     let t0 = std::time::Instant::now();
-    let current = match perf::measure_with_jobs(jobs, reps) {
-        Ok(c) => c,
-        Err(e) => fail(&format!("measurement failed: {e}")),
-    };
+    let current = perf::measure_with_jobs(jobs, reps)
+        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     eprintln!(
         "[bench] measured {} cells in {:.1?}",
         current.len(),
@@ -497,26 +432,20 @@ fn cmd_perf(args: &[String]) -> ! {
     );
     print!("{}", perf::table(&current));
 
-    let overheads = if overhead {
+    let overheads = overhead.then(|| {
         eprintln!(
             "[bench] measuring optional-subsystem overhead (min of {reps} passes per mode)..."
         );
-        let rows = match perf::measure_overheads(jobs, reps) {
-            Ok(r) => r,
-            Err(e) => fail(&format!("overhead measurement failed: {e}")),
-        };
+        let rows = perf::measure_overheads(jobs, reps)
+            .unwrap_or_else(|e| fail(&format!("overhead measurement failed: {e}")));
         print!("{}", perf::overhead_table(&rows));
-        Some(rows)
-    } else {
-        None
-    };
+        rows
+    });
 
     if let Some(path) = &profile_out {
         eprintln!("[bench] profiling one matrix pass...");
-        let p = match perf::profile_matrix(jobs) {
-            Ok(p) => p,
-            Err(e) => fail(&format!("profiled pass failed: {e}")),
-        };
+        let p = perf::profile_matrix(jobs)
+            .unwrap_or_else(|e| fail(&format!("profiled pass failed: {e}")));
         print!("{}", p.text_table());
         if let Err(e) = std::fs::write(path, p.chrome_trace()) {
             fail(&format!("cannot write {}: {e}", path.display()));
@@ -541,8 +470,10 @@ fn cmd_perf(args: &[String]) -> ! {
                     doc.push(',');
                 }
                 doc.push_str(&format!(
-                    "\n    {{\"mode\": \"{}\", \"total_ns\": {}, \"overhead_pct\": {:.3}}}",
-                    r.mode, r.total_ns, r.overhead_pct
+                    "\n    {{\"mode\": {}, \"total_ns\": {}, \"overhead_pct\": {:.3}}}",
+                    json::quote(r.mode),
+                    r.total_ns,
+                    r.overhead_pct
                 ));
             }
             doc.push_str("\n  ]");
@@ -553,45 +484,7 @@ fn cmd_perf(args: &[String]) -> ! {
         }
         eprintln!("[bench] wrote perf report to {}", path.display());
     }
-
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, perf::to_json(reps, &current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench perf`)"
-        )),
-    };
-    let (model, _, base) = match perf::parse(&doc) {
-        Ok(p) => p,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = perf::compare(&model, &base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} cells within {tolerance}% (relative) of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, perf::to_json(reps, &current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} violation(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
+    current
 }
 
 fn cmd_sweep(args: &[String]) -> ! {
@@ -1080,9 +973,8 @@ fn cmd_sanitize(args: &[String]) -> ! {
 /// The `--out` findings document: counts per cell plus every full
 /// report produced this invocation.
 fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::from("{\n  \"version\": 1,\n");
-    s.push_str(&format!("  \"matrix\": \"{}\",\n", esc(dsl)));
+    s.push_str(&format!("  \"matrix\": {},\n", json::quote(dsl)));
     s.push_str("  \"cells\": [");
     for (i, rec) in out.records.iter().enumerate() {
         if i > 0 {
@@ -1093,8 +985,8 @@ fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
             .map(|[r, c, l]| format!("[{r}, {c}, {l}]"))
             .unwrap_or_else(|| "null".into());
         s.push_str(&format!(
-            "\n    {{\"label\": \"{}\", \"status\": \"{}\", \"sanitize\": {counts}}}",
-            esc(&rec.label),
+            "\n    {{\"label\": {}, \"status\": \"{}\", \"sanitize\": {counts}}}",
+            json::quote(&rec.label),
             rec.status.name()
         ));
     }
@@ -1108,4 +1000,31 @@ fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
     }
     s.push_str("\n  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn findings_document_escapes_a_tab_in_the_matrix() {
+        // The DSL parser splits on any whitespace, so a tab-separated
+        // matrix runs fine; the document must still be valid JSON.
+        let dsl = "scale=quick procs=1,4,16 apps=fft\tversions=orig sanitize=on";
+        let out = ccnuma_sweep::SweepOutcome {
+            executed: 0,
+            cached: 0,
+            quarantined: Vec::new(),
+            records: Vec::new(),
+            sanitizes: Vec::new(),
+            critpaths: Vec::new(),
+            dropped_lines: 0,
+            steals: 0,
+            gauges: Vec::new(),
+        };
+        let doc = findings_json(dsl, &out);
+        assert!(!doc.contains('\t'), "{doc:?}");
+        assert_eq!(json::str_field(&doc, "matrix").as_deref(), Ok(dsl));
+        assert_eq!(json::num_field(&doc, "version"), Ok(1));
+    }
 }

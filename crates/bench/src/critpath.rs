@@ -1,8 +1,9 @@
-//! The critical-path regression harness behind `bench critpath`: runs the
+//! The critical-path regression gate behind `bench critpath`: runs the
 //! pinned workload matrix (the same one `bench regress` uses) with
 //! critical-path profiling on, snapshots each cell's on-path composition
 //! and what-if projections to `BENCH_critpath.json`, and gates changes
-//! against the committed baseline with a relative tolerance.
+//! against the committed baseline with a relative tolerance (through
+//! [`crate::gate`]).
 //!
 //! The simulator — and the collector, which consumes its deterministic
 //! event stream — is bit-deterministic, so the baseline is expected to
@@ -10,17 +11,14 @@
 //! tolerance (default 2%) leaves room for deliberate model tuning.
 
 use ccnuma_sim::critpath::CritReport;
-use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::report::Table;
 use scaling_study::runner::{Runner, StudyError};
 
-use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
+use crate::gate::{Check, Entry, Field, Gate};
+use crate::regress::{points, MATRIX_APPS, MATRIX_PROCS};
 
-/// Default relative tolerance of the drift gate.
-pub const DEFAULT_TOLERANCE: f64 = 0.02;
-
-/// Names of the seven on-path buckets, in [`CritEntry::path`] order.
+/// Names of the seven on-path buckets, in `path` order.
 pub const PATH_NAMES: [&str; 7] = [
     "busy",
     "sync_op",
@@ -31,8 +29,8 @@ pub const PATH_NAMES: [&str; 7] = [
     "sem_wait",
 ];
 
-/// Names of the what-if scenarios, in [`CritEntry::whatif`] order — the
-/// order [`CritReport`] emits them in.
+/// Names of the what-if scenarios, in `whatif` order — the order
+/// [`CritReport`] emits them in.
 pub const SCENARIO_NAMES: [&str; 6] = [
     "measured",
     "sync=0",
@@ -42,73 +40,59 @@ pub const SCENARIO_NAMES: [&str; 6] = [
     "busy-only",
 ];
 
-/// One measured point of the critical-path matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CritEntry {
-    /// Workload name (e.g. `"ocean"`).
-    pub app: String,
-    /// Problem description (e.g. `"34x34 grid"`).
-    pub problem: String,
-    /// Processors used.
-    pub nprocs: usize,
-    /// Parallel wall-clock (virtual ns) — what the path sums to.
-    pub wall_ns: Ns,
-    /// On-path time per bucket, in [`PATH_NAMES`] order. Sums to
-    /// [`CritEntry::wall_ns`] exactly.
-    pub path: [Ns; 7],
-    /// Projected wall clock per what-if scenario, in [`SCENARIO_NAMES`]
-    /// order. `whatif[0]` (measured) equals [`CritEntry::wall_ns`].
-    pub whatif: [Ns; 6],
+/// The `bench critpath` gate: per point, the parallel wall clock
+/// (virtual ns), the on-path time per bucket (summing to the wall
+/// clock exactly), and the projected wall clock per what-if scenario
+/// (`whatif[measured]` equals the wall clock), all within a two-sided 2%.
+pub const GATE: Gate = Gate {
+    verb: "critpath",
+    baseline: "BENCH_critpath.json",
+    tolerance: 0.02,
+    fields: &[
+        Field::scalar("wall_ns", Check::Drift),
+        Field::array("path", &PATH_NAMES, Check::Drift),
+        Field::array("whatif", &SCENARIO_NAMES, Check::Drift),
+    ],
+};
+
+/// On-path `(busy, memory, sync)` percentage split of a gate entry.
+pub fn share_pct(e: &Entry) -> (f64, f64, f64) {
+    let t = GATE.get(e, "wall_ns")[0].max(1) as f64;
+    let p = GATE.get(e, "path"); // in PATH_NAMES order
+    (
+        100.0 * p[0] as f64 / t,
+        100.0 * (p[2] + p[3]) as f64 / t,
+        100.0 * (p[1] + p[4] + p[5] + p[6]) as f64 / t,
+    )
 }
 
-impl CritEntry {
-    /// The `"app/problem/NNp"` key identifying this point.
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}p", self.app, self.problem, self.nprocs)
-    }
-
-    /// On-path `(busy, memory, sync)` percentage split.
-    pub fn share_pct(&self) -> (f64, f64, f64) {
-        let t = self.wall_ns.max(1) as f64;
-        let [busy, sync_op, ml, mr, lw, bw, sw] = self.path;
-        (
-            100.0 * busy as f64 / t,
-            100.0 * (ml + mr) as f64 / t,
-            100.0 * (sync_op + lw + bw + sw) as f64 / t,
-        )
-    }
-
-    /// Projected speedup of scenario `i` (in [`SCENARIO_NAMES`] order).
-    pub fn speedup(&self, i: usize) -> f64 {
-        if self.whatif[i] == 0 {
-            1.0
-        } else {
-            self.wall_ns as f64 / self.whatif[i] as f64
-        }
+/// Projected speedup of scenario `i` (in [`SCENARIO_NAMES`] order).
+pub fn speedup(e: &Entry, i: usize) -> f64 {
+    match GATE.get(e, "whatif")[i] {
+        0 => 1.0,
+        w => GATE.get(e, "wall_ns")[0] as f64 / w as f64,
     }
 }
 
-fn entry_from(app: String, problem: String, nprocs: usize, rep: &CritReport) -> CritEntry {
+fn entry_from(app: String, problem: String, nprocs: usize, rep: &CritReport) -> Entry {
     let t = &rep.total;
-    let mut whatif = [0u64; 6];
-    for (slot, w) in whatif.iter_mut().zip(&rep.whatif) {
-        *slot = w.wall_ns;
-    }
-    CritEntry {
+    Entry {
         app,
         problem,
         nprocs,
-        wall_ns: rep.wall_ns,
-        path: [
-            t.busy_ns,
-            t.sync_op_ns,
-            t.mem_local_ns,
-            t.mem_remote_ns,
-            t.lock_wait_ns,
-            t.barrier_wait_ns,
-            t.sem_wait_ns,
+        values: vec![
+            vec![rep.wall_ns],
+            vec![
+                t.busy_ns,
+                t.sync_op_ns,
+                t.mem_local_ns,
+                t.mem_remote_ns,
+                t.lock_wait_ns,
+                t.barrier_wait_ns,
+                t.sem_wait_ns,
+            ],
+            rep.whatif.iter().map(|w| w.wall_ns).collect(),
         ],
-        whatif,
     }
 }
 
@@ -119,7 +103,7 @@ fn entry_from(app: String, problem: String, nprocs: usize, rep: &CritReport) -> 
 /// # Errors
 ///
 /// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<CritEntry>, StudyError> {
+pub fn measure() -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
     let mut runner = Runner::new(scale.cache_bytes());
     runner.set_attrib(true);
@@ -149,13 +133,9 @@ pub fn measure() -> Result<Vec<CritEntry>, StudyError> {
 ///
 /// Propagates the first simulation or verification failure in matrix
 /// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<CritEntry>, StudyError> {
+pub fn measure_with_jobs(jobs: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
-    let points: Vec<(&str, usize)> = MATRIX_APPS
-        .iter()
-        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
-        .collect();
-    let (results, _) = ccnuma_sweep::pool::run(&points, jobs, |&(id, np)| {
+    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
         let w = basic(id, scale);
         let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
         cfg.classify_misses = true;
@@ -172,210 +152,50 @@ pub fn measure_with_jobs(jobs: usize) -> Result<Vec<CritEntry>, StudyError> {
 
 /// Renders entries as the `bench critpath` summary table: on-path
 /// shares and the headline what-if speedups per matrix point.
-pub fn table(entries: &[CritEntry]) -> Table {
+pub fn table(entries: &[Entry]) -> Table {
     let mut t = Table::new(
         "critical-path matrix",
         &["run", "busy", "memory", "sync", "sync=0", "remote*0.5"],
     );
     for e in entries {
-        let (busy, mem, sync) = e.share_pct();
+        let (busy, mem, sync) = share_pct(e);
         t.row(vec![
             e.key(),
             format!("{busy:.1}%"),
             format!("{mem:.1}%"),
             format!("{sync:.1}%"),
-            format!("{:.2}x", e.speedup(1)),
-            format!("{:.2}x", e.speedup(4)),
+            format!("{:.2}x", speedup(e, 1)),
+            format!("{:.2}x", speedup(e, 4)),
         ]);
     }
     t
-}
-
-/// Serializes entries as the `BENCH_critpath.json` document.
-pub fn to_json(entries: &[CritEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let nums = |ns: &[u64]| {
-        ns.iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
-             \"wall_ns\": {}, \"path\": [{}], \"whatif\": [{}]}}",
-            esc(&e.app),
-            esc(&e.problem),
-            e.nprocs,
-            e.wall_ns,
-            nums(&e.path),
-            nums(&e.whatif)
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_critpath.json` document produced by [`to_json`]. A
-/// minimal parser for exactly that shape, like the regress harness's.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed field found.
-pub fn parse(doc: &str) -> Result<Vec<CritEntry>, String> {
-    fn str_field(obj: &str, key: &str) -> Result<String, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let mut out = String::new();
-        let mut chars = obj[start..].chars();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some(c @ ('"' | '\\')) => out.push(c),
-                    _ => return Err(format!("bad escape in {key}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(format!("unterminated {key}")),
-            }
-        }
-    }
-    fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-        let pat = format!("\"{key}\": ");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let digits: String = obj[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().map_err(|_| format!("bad number for {key}"))
-    }
-    fn num_array<const N: usize>(obj: &str, key: &str) -> Result<[u64; N], String> {
-        let pat = format!("\"{key}\": [");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let end = obj[start..]
-            .find(']')
-            .ok_or_else(|| format!("unterminated {key}"))?;
-        let parts: Vec<&str> = obj[start..start + end].split(',').collect();
-        if parts.len() != N {
-            return Err(format!("expected {N} {key} values, got {}", parts.len()));
-        }
-        let mut out = [0u64; N];
-        for (slot, p) in out.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad {key} value {p:?}"))?;
-        }
-        Ok(out)
-    }
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        out.push(CritEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            wall_ns: num_field(obj, "wall_ns")?,
-            path: num_array::<7>(obj, "path")?,
-            whatif: num_array::<6>(obj, "whatif")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok(out)
-}
-
-/// Compares `current` against `baseline` with relative `tolerance` and
-/// returns one message per drifted metric, missing point, or new point.
-/// An empty result means the gate passes.
-pub fn compare(baseline: &[CritEntry], current: &[CritEntry], tolerance: f64) -> Vec<String> {
-    let drifts = |key: &str, name: &str, base: u64, cur: u64, out: &mut Vec<String>| {
-        let denom = base.max(1) as f64;
-        let rel = (cur as f64 - base as f64) / denom;
-        if rel.abs() > tolerance {
-            out.push(format!(
-                "{key}: {name} drifted {:+.2}% (baseline {base}, current {cur})",
-                100.0 * rel
-            ));
-        }
-    };
-    let mut out = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
-            out.push(format!("{}: missing from current run", b.key()));
-            continue;
-        };
-        let key = b.key();
-        drifts(&key, "wall_ns", b.wall_ns, c.wall_ns, &mut out);
-        for (i, (bp, cp)) in b.path.iter().zip(&c.path).enumerate() {
-            let name = format!("path[{}]", PATH_NAMES[i]);
-            drifts(&key, &name, *bp, *cp, &mut out);
-        }
-        for (i, (bw, cw)) in b.whatif.iter().zip(&c.whatif).enumerate() {
-            let name = format!("whatif[{}]", SCENARIO_NAMES[i]);
-            drifts(&key, &name, *bw, *cw, &mut out);
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench critpath`)",
-                c.key()
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(app: &str, np: usize, wall: u64) -> CritEntry {
-        CritEntry {
+    fn entry(app: &str, np: usize, wall: u64) -> Entry {
+        Entry {
             app: app.into(),
             problem: "p".into(),
             nprocs: np,
-            wall_ns: wall,
-            path: [wall / 2, 0, wall / 8, wall / 8, 0, wall / 4, 0],
-            whatif: [wall, wall * 3 / 4, wall, wall, wall * 7 / 8, wall / 2],
+            values: vec![
+                vec![wall],
+                vec![wall / 2, 0, wall / 8, wall / 8, 0, wall / 4, 0],
+                vec![wall, wall * 3 / 4, wall, wall, wall * 7 / 8, wall / 2],
+            ],
         }
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let entries = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
-        let doc = to_json(&entries);
-        let back = parse(&doc).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn parse_unescapes_strings() {
-        let mut e = entry("fft", 4, 1_000);
-        e.problem = "a \"quoted\" case".into();
-        let back = parse(&to_json(&[e.clone()])).unwrap();
-        assert_eq!(back[0].problem, e.problem);
     }
 
     #[test]
     fn compare_passes_identical_and_flags_drift() {
         let base = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
-        assert!(compare(&base, &base, 0.02).is_empty());
+        assert!(GATE.compare(&base, &base, 0.02).is_empty());
         let mut cur = vec![entry("fft", 4, 1_000), entry("radix", 4, 500)];
-        cur[0].path[5] = 300; // barrier-wait share grew +20%
-        cur[0].whatif[1] = 600;
-        let msgs = compare(&base, &cur, 0.02);
+        cur[0].values[1][5] = 300; // barrier-wait share grew +20%
+        cur[0].values[2][1] = 600;
+        let msgs = GATE.compare(&base, &cur, 0.02);
         assert!(
             msgs.iter().any(|m| m.contains("path[barrier_wait]")),
             "{msgs:?}"
@@ -398,11 +218,11 @@ mod tests {
     #[test]
     fn shares_and_speedups_derive_from_the_entry() {
         let e = entry("fft", 4, 1_000);
-        let (busy, mem, sync) = e.share_pct();
+        let (busy, mem, sync) = share_pct(&e);
         assert!((busy - 50.0).abs() < 1e-9);
         assert!((mem - 25.0).abs() < 1e-9);
         assert!((sync - 25.0).abs() < 1e-9);
-        assert!((e.speedup(5) - 2.0).abs() < 1e-9, "busy-only bound");
+        assert!((speedup(&e, 5) - 2.0).abs() < 1e-9, "busy-only bound");
         let t = table(&[e]);
         assert_eq!(t.len(), 1);
         assert!(t.to_csv().contains("50.0%"));
@@ -413,21 +233,18 @@ mod tests {
         let entries = measure().unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
+            let wall = GATE.get(e, "wall_ns")[0];
+            let whatif = GATE.get(e, "whatif");
             assert_eq!(
-                e.path.iter().sum::<u64>(),
-                e.wall_ns,
+                GATE.get(e, "path").iter().sum::<u64>(),
+                wall,
                 "{}: path partitions the wall",
                 e.key()
             );
-            assert_eq!(e.whatif[0], e.wall_ns, "{}: measured replay", e.key());
-            let busy_bound = e.whatif[5];
-            for (i, &w) in e.whatif.iter().enumerate() {
-                assert!(
-                    w <= e.wall_ns,
-                    "{}: {} ≤ measured",
-                    e.key(),
-                    SCENARIO_NAMES[i]
-                );
+            assert_eq!(whatif[0], wall, "{}: measured replay", e.key());
+            let busy_bound = whatif[5];
+            for (i, &w) in whatif.iter().enumerate() {
+                assert!(w <= wall, "{}: {} ≤ measured", e.key(), SCENARIO_NAMES[i]);
                 assert!(
                     w >= busy_bound,
                     "{}: {} ≥ busy bound",

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccnuma_sim::json;
 use ccnuma_sim::live::{LIVE_CAUSES, LIVE_CLASSES};
 use ccnuma_sim::trace::GaugeSample;
 use ccnuma_sweep::events::{EventSink, ExecEvent};
@@ -551,9 +552,8 @@ impl EpochRecord {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            out.push_str(&escape_json(k));
-            out.push_str("\":");
+            out.push_str(&json::quote(k));
+            out.push(':');
             match v {
                 Some(x) => out.push_str(&format!("{x}")),
                 None => out.push_str("null"),
@@ -562,21 +562,6 @@ impl EpochRecord {
         out.push_str("}}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parses one epoch record line
@@ -591,77 +576,22 @@ pub fn parse_epoch_record(line: &str) -> Option<EpochRecord> {
     let comma = rest.find(',')?;
     let t_ms: u64 = rest[..comma].parse().ok()?;
     let rest = rest[comma + 1..].strip_prefix("\"metrics\":{")?;
-    let body = rest.strip_suffix("}}")?;
+    let mut body = rest.strip_suffix("}}")?;
     let mut metrics = Vec::new();
-    if !body.is_empty() {
-        for pair in split_top_level(body) {
-            let pair = pair.trim();
-            let k = pair.strip_prefix('"')?;
-            let q = find_close_quote(k)?;
-            let key = unescape_json(&k[..q]);
-            let v = k[q + 1..].trim().strip_prefix(':')?.trim();
-            let value = if v == "null" {
-                None
-            } else {
-                Some(v.parse().ok()?)
-            };
-            metrics.push((key, value));
-        }
+    // `"k":v` pairs; keys are escaped strings (commas and braces allowed),
+    // values are numbers or `null`, which never contain a comma.
+    while !body.trim().is_empty() {
+        let (key, rest) = json::string(body).ok()?;
+        let rest = rest.trim_start().strip_prefix(':')?;
+        let (v, tail) = rest.split_once(',').unwrap_or((rest, ""));
+        let value = match v.trim() {
+            "null" => None,
+            v => Some(v.parse().ok()?),
+        };
+        metrics.push((key, value));
+        body = tail;
     }
     Some(EpochRecord { seq, t_ms, metrics })
-}
-
-/// Splits `"k":v,"k2":v2` on commas that are not inside a quoted key.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let (mut start, mut in_str, mut esc) = (0usize, false, false);
-    for (i, c) in s.char_indices() {
-        match c {
-            _ if esc => esc = false,
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-/// Index of the closing quote of a JSON string body starting at 0.
-fn find_close_quote(s: &str) -> Option<usize> {
-    let mut esc = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            _ if esc => esc = false,
-            '\\' => esc = true,
-            '"' => return Some(i),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
 }
 
 /// Fetches `/snapshot` from a running hub over a raw TCP GET and parses
@@ -797,6 +727,23 @@ mod tests {
         let rec = parse_epoch_record(line).expect("parses");
         let back = parse_epoch_record(&rec.to_json()).expect("to_json parses back");
         assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn control_characters_and_quotes_in_keys_survive_both_writers() {
+        let key = "odd{cell=\"a,b\"}\u{1}\t";
+        // As the telemetry hub writes it (`/snapshot`, `--live-log`).
+        let hub_line = format!(
+            "{{\"seq\":1,\"t_ms\":2,\"metrics\":{{\"{}\":3.5,\"z\":null}}}}",
+            ccnuma_telemetry::expo::esc_json(key)
+        );
+        let rec = parse_epoch_record(&hub_line).expect("hub line parses");
+        assert_eq!(rec.metrics[0], (key.to_string(), Some(3.5)));
+        // As `bench top --json` re-serializes it: valid JSON, no raw
+        // control characters, and the same record back.
+        let line = rec.to_json();
+        assert!(!line.chars().any(char::is_control), "{line:?}");
+        assert_eq!(parse_epoch_record(&line), Some(rec));
     }
 
     #[test]

@@ -351,10 +351,7 @@ fn write_manifest(dir: &Path, emitted: &[String]) -> std::io::Result<()> {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "\n    \"{}\"",
-            f.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
+        s.push_str(&format!("\n    {}", ccnuma_sim::json::quote(f)));
     }
     s.push_str("\n  ]\n}\n");
     std::fs::write(dir.join("manifest.json"), s)?;

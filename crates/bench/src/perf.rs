@@ -1,33 +1,44 @@
-//! The engine-throughput harness behind `bench perf`: times the pinned
-//! workload matrix on the host clock, snapshots events-per-second and
-//! ns-per-event to `BENCH_engine.json`, and gates changes against the
-//! committed baseline with a *relative* tolerance.
+//! The engine-throughput gate behind `bench perf`: times the pinned
+//! workload matrix on the host clock, snapshots events and ns-per-event
+//! to `BENCH_engine.json`, and gates changes against the committed
+//! baseline with a *relative* tolerance (through [`crate::gate`]).
 //!
 //! Unlike `bench regress` (which compares bit-deterministic simulated
-//! numbers), this harness measures wall-clock throughput, which varies
+//! numbers), this gate measures wall-clock throughput, which varies
 //! with the host. Two things make the gate portable anyway:
 //!
-//! * the per-cell engine-event count ([`PerfEntry::events`]) is
-//!   deterministic and compared exactly — a change means the engine's
-//!   work changed, not the machine speed;
-//! * ns-per-event drift is judged *after* dividing out the matrix-wide
-//!   geometric-mean speed factor between baseline and current host, so
-//!   a uniformly slower runner passes and only per-cell *relative*
-//!   regressions fail.
+//! * the per-cell engine-event count is deterministic and compared
+//!   exactly ([`Check::Exact`]) — a change means the engine's work
+//!   changed, not the machine speed;
+//! * ns-per-event is [`Check::Slower`]: judged *after* dividing out the
+//!   matrix-wide geometric-mean speed factor between baseline and
+//!   current host, so a uniformly slower runner passes, and one-sided,
+//!   so only per-cell *relative slowdowns* fail.
 
 use std::time::Instant;
 
 use ccnuma_sim::config::MachineConfig;
+use ccnuma_sim::json;
 use ccnuma_sim::prof::{self, HostProfile};
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{execute_workload, StudyError};
 
-use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
+use crate::gate::{Check, Entry, Field, Gate};
+use crate::regress::points;
 
-/// Default relative tolerance of the throughput gate. Deliberately far
-/// looser than the accuracy gate's 2%: wall clocks on shared CI runners
-/// jitter by tens of percent.
-pub const DEFAULT_TOLERANCE: f64 = 0.35;
+/// The `bench perf` gate: per cell, the engine-event count (exact) and
+/// the median host ns per event (one-sided, relative to the matrix).
+/// The default tolerance is far looser than the accuracy gates' 2%:
+/// wall clocks on shared CI runners jitter by tens of percent.
+pub const GATE: Gate = Gate {
+    verb: "perf",
+    baseline: "BENCH_engine.json",
+    tolerance: 0.35,
+    fields: &[
+        Field::scalar("events", Check::Exact).labelled("engine events"),
+        Field::scalar("ns_per_event", Check::Slower).labelled("ns/event"),
+    ],
+};
 
 /// Default timed repetitions per cell (a discarded warmup rep runs
 /// first).
@@ -39,37 +50,6 @@ pub const DEFAULT_REPS: usize = 3;
 /// refresher) beside an unmodified config.
 pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "profile", "live"];
 
-/// One measured point of the throughput matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfEntry {
-    /// Workload name (e.g. `"ocean"`).
-    pub app: String,
-    /// Problem description (e.g. `"34x34 grid"`).
-    pub problem: String,
-    /// Processors used.
-    pub nprocs: usize,
-    /// Engine events processed — deterministic, compared exactly.
-    pub events: u64,
-    /// Median host nanoseconds per engine event across the timed reps.
-    pub ns_per_event: u64,
-}
-
-impl PerfEntry {
-    /// The `"app/problem/NNp"` key identifying this point.
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}p", self.app, self.problem, self.nprocs)
-    }
-
-    /// Simulated events per host second implied by the median rep.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.ns_per_event == 0 {
-            0.0
-        } else {
-            1e9 / self.ns_per_event as f64
-        }
-    }
-}
-
 /// One row of the subsystem-overhead report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadEntry {
@@ -79,14 +59,6 @@ pub struct OverheadEntry {
     pub total_ns: u64,
     /// Percent overhead versus the all-off baseline pass.
     pub overhead_pct: f64,
-}
-
-/// The matrix points, in pinned order.
-fn points() -> Vec<(&'static str, usize)> {
-    MATRIX_APPS
-        .iter()
-        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
-        .collect()
 }
 
 /// The cell's machine config with one optional subsystem switched on.
@@ -110,11 +82,10 @@ fn mode_config(np: usize, scale: Scale, mode: &str) -> MachineConfig {
 ///
 /// Propagates the first simulation or verification failure in matrix
 /// order.
-pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<PerfEntry>, StudyError> {
+pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
     let reps = reps.max(1);
-    let pts = points();
-    let (results, _) = ccnuma_sweep::pool::run(&pts, jobs, |&(id, np)| {
+    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
         let w = basic(id, scale);
         let cfg = mode_config(np, scale, "baseline");
         let mut times = Vec::with_capacity(reps);
@@ -134,12 +105,11 @@ pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<PerfEntry>, Stu
         }
         times.sort_unstable();
         let median = times[times.len() / 2];
-        Ok(PerfEntry {
+        Ok(Entry {
             app: w.name(),
             problem: w.problem(),
             nprocs: np,
-            events,
-            ns_per_event: median / events.max(1),
+            values: vec![vec![events], vec![median / events.max(1)]],
         })
     });
     results.into_iter().collect()
@@ -150,9 +120,8 @@ pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<PerfEntry>, Stu
 /// comparable at any job count, unlike the pass's wall clock).
 fn matrix_pass(jobs: usize, mode: &str) -> Result<Vec<u64>, StudyError> {
     let scale = Scale::Quick;
-    let pts = points();
     let (results, _) =
-        ccnuma_sweep::pool::run(&pts, jobs, |&(id, np)| -> Result<u64, StudyError> {
+        ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| -> Result<u64, StudyError> {
             let w = basic(id, scale);
             let cfg = mode_config(np, scale, mode);
             let t = Instant::now();
@@ -234,182 +203,52 @@ pub fn profile_matrix(jobs: usize) -> Result<HostProfile, StudyError> {
 /// fingerprint pins which engine produced the numbers; a fingerprint
 /// bump forces a baseline regeneration rather than a spurious drift
 /// report.
-pub fn to_json(reps: usize, entries: &[PerfEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = format!(
-        "{{\n  \"version\": 1,\n  \"model\": \"{}\",\n  \"reps\": {},\n  \"entries\": [",
-        esc(ccnuma_sim::MODEL_FINGERPRINT),
-        reps
-    );
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
-             \"events\": {}, \"ns_per_event\": {}}}",
-            esc(&e.app),
-            esc(&e.problem),
-            e.nprocs,
-            e.events,
-            e.ns_per_event
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-    let mut out = String::new();
-    let mut chars = obj[start..].chars();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some(c @ ('"' | '\\')) => out.push(c),
-                _ => return Err(format!("bad escape in {key}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err(format!("unterminated {key}")),
-        }
-    }
-}
-
-fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-    let digits: String = obj[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().map_err(|_| format!("bad number for {key}"))
+pub fn to_json(reps: usize, entries: &[Entry]) -> String {
+    let header = [
+        ("model", json::quote(ccnuma_sim::MODEL_FINGERPRINT)),
+        ("reps", reps.to_string()),
+    ];
+    GATE.to_json(&header, entries)
 }
 
 /// Parses a `BENCH_engine.json` document produced by [`to_json`];
-/// returns `(model, reps, entries)`. Minimal parser for exactly that
-/// shape, like the `regress` one.
+/// returns `(model, reps, entries)`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field found.
-pub fn parse(doc: &str) -> Result<(String, usize, Vec<PerfEntry>), String> {
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let head = &doc[..entries_at];
-    let model = str_field(head, "model")?;
-    let reps = num_field(head, "reps")? as usize;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        out.push(PerfEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            events: num_field(obj, "events")?,
-            ns_per_event: num_field(obj, "ns_per_event")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok((model, reps, out))
+pub fn parse(doc: &str) -> Result<(String, usize, Vec<Entry>), String> {
+    let model = json::str_field(doc, "model")?;
+    let reps = json::num_field(doc, "reps")? as usize;
+    Ok((model, reps, GATE.parse(doc)?))
 }
 
-/// Geometric mean of the per-cell current/baseline ns-per-event ratios
-/// — the matrix-wide machine-speed factor between the two runs.
-fn speed_factor(pairs: &[(&PerfEntry, &PerfEntry)]) -> f64 {
-    let mut sum_ln = 0.0;
-    let mut n = 0usize;
-    for (b, c) in pairs {
-        if b.ns_per_event > 0 && c.ns_per_event > 0 {
-            sum_ln += (c.ns_per_event as f64 / b.ns_per_event as f64).ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (sum_ln / n as f64).exp()
-    }
-}
-
-/// Compares `current` against `baseline`: event counts exactly,
-/// ns-per-event with relative `tolerance` *after* dividing out the
-/// matrix-wide speed factor. Returns one message per violation; empty
-/// means the gate passes.
-pub fn compare(
-    model: &str,
-    baseline: &[PerfEntry],
-    current: &[PerfEntry],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
+/// Compares `current` against `baseline` with [`GATE`], after checking
+/// that both came from the same engine model. Returns one message per
+/// violation; empty means the gate passes.
+pub fn compare(model: &str, baseline: &[Entry], current: &[Entry], tolerance: f64) -> Vec<String> {
     if model != ccnuma_sim::MODEL_FINGERPRINT {
-        out.push(format!(
+        return vec![format!(
             "model fingerprint changed (baseline {model:?}, current {:?}): \
              regenerate with `bench perf`",
             ccnuma_sim::MODEL_FINGERPRINT
-        ));
-        return out;
+        )];
     }
-    let mut pairs: Vec<(&PerfEntry, &PerfEntry)> = Vec::new();
-    for b in baseline {
-        match current.iter().find(|c| c.key() == b.key()) {
-            Some(c) => pairs.push((b, c)),
-            None => out.push(format!("{}: missing from current run", b.key())),
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench perf`)",
-                c.key()
-            ));
-        }
-    }
-    let speed = speed_factor(&pairs);
-    for (b, c) in &pairs {
-        if c.events != b.events {
-            out.push(format!(
-                "{}: engine events changed (baseline {}, current {}) — \
-                 the engine's work changed, regenerate with `bench perf`",
-                b.key(),
-                b.events,
-                c.events
-            ));
-        }
-        let rel = (c.ns_per_event as f64 / b.ns_per_event.max(1) as f64) / speed - 1.0;
-        if rel.abs() > tolerance {
-            out.push(format!(
-                "{}: ns/event drifted {:+.1}% relative to the matrix \
-                 (baseline {}, current {}, machine-speed factor {:.2}x)",
-                b.key(),
-                100.0 * rel,
-                b.ns_per_event,
-                c.ns_per_event,
-                speed
-            ));
-        }
-    }
-    out
+    GATE.compare(baseline, current, tolerance)
 }
 
 /// Renders the per-cell throughput table.
-pub fn table(entries: &[PerfEntry]) -> String {
+pub fn table(entries: &[Entry]) -> String {
     let mut out =
         String::from("cell                                    events    ns/event      Mev/s\n");
     for e in entries {
+        let ns = GATE.get(e, "ns_per_event")[0];
         out.push_str(&format!(
             "{:<38} {:>8} {:>11} {:>10.2}\n",
             e.key(),
-            e.events,
-            e.ns_per_event,
-            e.events_per_sec() / 1e6
+            GATE.get(e, "events")[0],
+            ns,
+            if ns == 0 { 0.0 } else { 1e3 / ns as f64 }
         ));
     }
     out
@@ -433,24 +272,17 @@ pub fn overhead_table(rows: &[OverheadEntry]) -> String {
 mod tests {
     use super::*;
 
-    fn entry(app: &str, np: usize, events: u64, ns: u64) -> PerfEntry {
-        PerfEntry {
+    /// Field indices into [`Entry::values`], in [`GATE`] order.
+    const EVENTS: usize = 0;
+    const NS_PER_EVENT: usize = 1;
+
+    fn entry(app: &str, np: usize, events: u64, ns: u64) -> Entry {
+        Entry {
             app: app.into(),
             problem: "p".into(),
             nprocs: np,
-            events,
-            ns_per_event: ns,
+            values: vec![vec![events], vec![ns]],
         }
-    }
-
-    #[test]
-    fn json_roundtrips_with_model_and_reps() {
-        let entries = vec![entry("fft", 4, 10_000, 250), entry("ocean", 8, 44_000, 310)];
-        let doc = to_json(3, &entries);
-        let (model, reps, back) = parse(&doc).unwrap();
-        assert_eq!(model, ccnuma_sim::MODEL_FINGERPRINT);
-        assert_eq!(reps, 3);
-        assert_eq!(back, entries);
     }
 
     #[test]
@@ -458,13 +290,10 @@ mod tests {
         let base = vec![entry("fft", 4, 100, 200), entry("ocean", 8, 300, 400)];
         // A 3x slower host, same per-cell shape: the speed factor
         // absorbs it entirely.
-        let slow: Vec<PerfEntry> = base
-            .iter()
-            .map(|e| PerfEntry {
-                ns_per_event: e.ns_per_event * 3,
-                ..e.clone()
-            })
-            .collect();
+        let mut slow = base.clone();
+        for e in &mut slow {
+            e.values[NS_PER_EVENT][0] *= 3;
+        }
         let msgs = compare(ccnuma_sim::MODEL_FINGERPRINT, &base, &slow, 0.05);
         assert!(msgs.is_empty(), "{msgs:?}");
     }
@@ -477,8 +306,8 @@ mod tests {
             entry("radix", 4, 500, 100),
         ];
         let mut cur = base.clone();
-        cur[0].ns_per_event = 600; // 3x this cell only
-        cur[1].events = 999; // deterministic count changed
+        cur[0].values[NS_PER_EVENT][0] = 600; // 3x this cell only
+        cur[1].values[EVENTS][0] = 999; // deterministic count changed
         let msgs = compare(ccnuma_sim::MODEL_FINGERPRINT, &base, &cur, 0.35);
         assert!(
             msgs.iter()
@@ -490,6 +319,22 @@ mod tests {
                 .any(|m| m.contains("ocean/p/8p") && m.contains("events changed")),
             "{msgs:?}"
         );
+    }
+
+    #[test]
+    fn one_much_faster_cell_passes_the_gate() {
+        // The pinned matrix's eight cells; one runs 3x faster. Dividing
+        // out the speed factor makes the other seven read 3^(1/8) - 1 =
+        // 14.7% relatively slower, inside the default tolerance, and the
+        // fast cell itself is no regression.
+        let base: Vec<Entry> = points()
+            .iter()
+            .map(|&(app, np)| entry(app, np, 1_000, 9_000))
+            .collect();
+        let mut cur = base.clone();
+        cur[5].values[NS_PER_EVENT][0] = 3_000;
+        let msgs = compare(ccnuma_sim::MODEL_FINGERPRINT, &base, &cur, GATE.tolerance);
+        assert!(msgs.is_empty(), "{msgs:?}");
     }
 
     #[test]
@@ -512,17 +357,30 @@ mod tests {
     }
 
     #[test]
+    fn committed_baseline_parses_unchanged() {
+        let doc = include_str!("../../../BENCH_engine.json");
+        let (model, reps, entries) = parse(doc).unwrap();
+        assert_eq!(model, ccnuma_sim::MODEL_FINGERPRINT);
+        assert_eq!(
+            to_json(reps, &entries),
+            doc,
+            "writer reproduces it byte for byte"
+        );
+    }
+
+    #[test]
     fn measure_covers_matrix_with_deterministic_events() {
         let a = measure_with_jobs(2, 1).unwrap();
-        assert_eq!(a.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
+        assert_eq!(a.len(), points().len());
         for e in &a {
-            assert!(e.events > 0, "{}", e.key());
-            assert!(e.ns_per_event > 0, "{}", e.key());
+            assert!(e.values[EVENTS][0] > 0, "{}", e.key());
+            assert!(e.values[NS_PER_EVENT][0] > 0, "{}", e.key());
         }
         // The timed half varies run to run; the event counts must not.
         let b = measure_with_jobs(1, 1).unwrap();
-        let ae: Vec<(String, u64)> = a.iter().map(|e| (e.key(), e.events)).collect();
-        let be: Vec<(String, u64)> = b.iter().map(|e| (e.key(), e.events)).collect();
-        assert_eq!(ae, be, "events are jobs- and rep-invariant");
+        let events = |v: &[Entry]| -> Vec<(String, u64)> {
+            v.iter().map(|e| (e.key(), e.values[EVENTS][0])).collect()
+        };
+        assert_eq!(events(&a), events(&b), "events are jobs- and rep-invariant");
     }
 }

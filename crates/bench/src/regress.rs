@@ -1,15 +1,19 @@
-//! The attribution regression harness behind `bench regress`: runs a pinned
+//! The attribution regression gate behind `bench regress`: runs a pinned
 //! workload matrix with miss classification on, snapshots the attribution
 //! metrics to `BENCH_attrib.json`, and gates changes against the committed
-//! baseline with a relative tolerance.
+//! baseline with a relative tolerance (through [`crate::gate`]).
 //!
 //! The simulator is bit-deterministic, so the baseline is expected to match
 //! exactly on an unchanged tree; the tolerance (default 2%) leaves room for
 //! deliberate model tuning without churning the baseline on every commit.
 
+use ccnuma_sim::attrib::cause_slot_name;
+use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{Runner, StudyError};
+
+use crate::gate::{Check, Entry, Field, Gate};
 
 /// The pinned workload matrix: quick-scale basic problems on small
 /// machines, chosen to exercise every miss cause (capacity/conflict from
@@ -19,36 +23,50 @@ pub const MATRIX_APPS: &[&str] = &["fft", "ocean", "radix", "water-nsq"];
 /// Processor counts of the pinned matrix.
 pub const MATRIX_PROCS: &[usize] = &[4, 8];
 
-/// Default relative tolerance of the drift gate.
-pub const DEFAULT_TOLERANCE: f64 = 0.02;
-
-/// One measured point of the regression matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressEntry {
-    /// Workload name (e.g. `"ocean"`).
-    pub app: String,
-    /// Problem description (e.g. `"34x34 grid"`).
-    pub problem: String,
-    /// Processors used.
-    pub nprocs: usize,
-    /// Parallel wall-clock (virtual ns).
-    pub wall_ns: Ns,
-    /// Total memory stall across processors (virtual ns).
-    pub mem_stall_ns: Ns,
-    /// Queueing share of the memory stall (virtual ns).
-    pub queue_ns: Ns,
-    /// Total data misses.
-    pub misses: u64,
-    /// Miss counts per cause, indexed by
-    /// [`MissCause::index`](ccnuma_sim::attrib::MissCause::index):
-    /// cold, capacity, conflict, true sharing, false sharing.
-    pub causes: [u64; 5],
+/// The pinned matrix points, in order: every app at every proc count.
+pub fn points() -> Vec<(&'static str, usize)> {
+    MATRIX_APPS
+        .iter()
+        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
+        .collect()
 }
 
-impl RegressEntry {
-    /// The `"app/problem/NNp"` key identifying this point.
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}p", self.app, self.problem, self.nprocs)
+const CAUSES: [&str; 5] = [
+    cause_slot_name(0),
+    cause_slot_name(1),
+    cause_slot_name(2),
+    cause_slot_name(3),
+    cause_slot_name(4),
+];
+
+/// The `bench regress` gate: per point, the parallel wall clock, the
+/// total memory stall and its queueing share (virtual ns), the data-miss
+/// count, and the miss counts per cause, all within a two-sided 2%.
+pub const GATE: Gate = Gate {
+    verb: "regress",
+    baseline: "BENCH_attrib.json",
+    tolerance: 0.02,
+    fields: &[
+        Field::scalar("wall_ns", Check::Drift),
+        Field::scalar("mem_stall_ns", Check::Drift),
+        Field::scalar("queue_ns", Check::Drift),
+        Field::scalar("misses", Check::Drift),
+        Field::array("causes", &CAUSES, Check::Drift),
+    ],
+};
+
+fn entry(app: String, problem: String, nprocs: usize, wall_ns: Ns, stats: &RunStats) -> Entry {
+    Entry {
+        app,
+        problem,
+        nprocs,
+        values: vec![
+            vec![wall_ns],
+            vec![stats.total(|p| p.mem_ns)],
+            vec![stats.mem_breakdown().queue_total()],
+            vec![stats.total(|p| p.misses())],
+            stats.cause_counts().to_vec(),
+        ],
     }
 }
 
@@ -57,7 +75,7 @@ impl RegressEntry {
 /// # Errors
 ///
 /// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<RegressEntry>, StudyError> {
+pub fn measure() -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
     let mut runner = Runner::new(scale.cache_bytes());
     runner.set_attrib(true);
@@ -66,17 +84,13 @@ pub fn measure() -> Result<Vec<RegressEntry>, StudyError> {
         let w = basic(id, scale);
         for &np in MATRIX_PROCS {
             let rec = runner.run(w.as_ref(), np)?;
-            let causes = rec.stats.cause_counts();
-            out.push(RegressEntry {
-                app: rec.app,
-                problem: rec.problem,
-                nprocs: rec.nprocs,
-                wall_ns: rec.wall_ns,
-                mem_stall_ns: rec.stats.total(|p| p.mem_ns),
-                queue_ns: rec.stats.mem_breakdown().queue_total(),
-                misses: rec.stats.total(|p| p.misses()),
-                causes,
-            });
+            out.push(entry(
+                rec.app,
+                rec.problem,
+                rec.nprocs,
+                rec.wall_ns,
+                &rec.stats,
+            ));
         }
     }
     Ok(out)
@@ -85,243 +99,61 @@ pub fn measure() -> Result<Vec<RegressEntry>, StudyError> {
 /// [`measure`] fanned out over the sweep engine's work-stealing pool:
 /// the same pinned matrix, the same entries in the same order, but each
 /// point simulated on its own host thread. The entries skip the
-/// sequential baselines [`Runner`] would compute (no field of
-/// [`RegressEntry`] needs one), so this is strictly less work per point
-/// as well as parallel across points — and still bit-identical to
-/// [`measure`], which `measure_is_jobs_invariant` pins.
+/// sequential baselines [`Runner`] would compute (no gate field needs
+/// one), so this is strictly less work per point as well as parallel
+/// across points — and still bit-identical to [`measure`], which
+/// `measure_is_jobs_invariant` pins.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure in matrix
 /// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<RegressEntry>, StudyError> {
+pub fn measure_with_jobs(jobs: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
-    let points: Vec<(&str, usize)> = MATRIX_APPS
-        .iter()
-        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
-        .collect();
-    let (results, _) = ccnuma_sweep::pool::run(&points, jobs, |&(id, np)| {
+    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
         let w = basic(id, scale);
         let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
         cfg.classify_misses = true;
         let (wall_ns, stats) = scaling_study::runner::execute_workload(w.as_ref(), cfg)?;
-        Ok(RegressEntry {
-            app: w.name(),
-            problem: w.problem(),
-            nprocs: np,
-            wall_ns,
-            mem_stall_ns: stats.total(|p| p.mem_ns),
-            queue_ns: stats.mem_breakdown().queue_total(),
-            misses: stats.total(|p| p.misses()),
-            causes: stats.cause_counts(),
-        })
+        Ok(entry(w.name(), w.problem(), np, wall_ns, &stats))
     });
     results.into_iter().collect()
-}
-
-/// Serializes entries as the `BENCH_attrib.json` document.
-pub fn to_json(entries: &[RegressEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
-             \"wall_ns\": {}, \"mem_stall_ns\": {}, \"queue_ns\": {}, \
-             \"misses\": {}, \"causes\": [{}]}}",
-            esc(&e.app),
-            esc(&e.problem),
-            e.nprocs,
-            e.wall_ns,
-            e.mem_stall_ns,
-            e.queue_ns,
-            e.misses,
-            e.causes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Parses a `BENCH_attrib.json` document produced by [`to_json`]. This is a
-/// minimal parser for exactly that shape (one object per entry, string
-/// values without embedded braces), not a general JSON reader.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed field found.
-pub fn parse(doc: &str) -> Result<Vec<RegressEntry>, String> {
-    fn str_field(obj: &str, key: &str) -> Result<String, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let mut out = String::new();
-        let mut chars = obj[start..].chars();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some(c @ ('"' | '\\')) => out.push(c),
-                    _ => return Err(format!("bad escape in {key}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(format!("unterminated {key}")),
-            }
-        }
-    }
-    fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-        let pat = format!("\"{key}\": ");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let digits: String = obj[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().map_err(|_| format!("bad number for {key}"))
-    }
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        let causes_pat = "\"causes\": [";
-        let cstart = obj
-            .find(causes_pat)
-            .ok_or_else(|| "missing causes".to_string())?
-            + causes_pat.len();
-        let cend = obj[cstart..]
-            .find(']')
-            .ok_or_else(|| "unterminated causes".to_string())?;
-        let mut causes = [0u64; 5];
-        let parts: Vec<&str> = obj[cstart..cstart + cend].split(',').collect();
-        if parts.len() != 5 {
-            return Err(format!("expected 5 causes, got {}", parts.len()));
-        }
-        for (slot, p) in causes.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad cause count {p:?}"))?;
-        }
-        out.push(RegressEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            wall_ns: num_field(obj, "wall_ns")?,
-            mem_stall_ns: num_field(obj, "mem_stall_ns")?,
-            queue_ns: num_field(obj, "queue_ns")?,
-            misses: num_field(obj, "misses")?,
-            causes,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok(out)
-}
-
-/// Compares `current` against `baseline` with relative `tolerance` and
-/// returns one message per drifted metric, missing point, or new point.
-/// An empty result means the gate passes.
-pub fn compare(baseline: &[RegressEntry], current: &[RegressEntry], tolerance: f64) -> Vec<String> {
-    let drifts = |key: &str, name: &str, base: u64, cur: u64, out: &mut Vec<String>| {
-        let denom = base.max(1) as f64;
-        let rel = (cur as f64 - base as f64) / denom;
-        if rel.abs() > tolerance {
-            out.push(format!(
-                "{key}: {name} drifted {:+.2}% (baseline {base}, current {cur})",
-                100.0 * rel
-            ));
-        }
-    };
-    let mut out = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
-            out.push(format!("{}: missing from current run", b.key()));
-            continue;
-        };
-        let key = b.key();
-        drifts(&key, "wall_ns", b.wall_ns, c.wall_ns, &mut out);
-        drifts(
-            &key,
-            "mem_stall_ns",
-            b.mem_stall_ns,
-            c.mem_stall_ns,
-            &mut out,
-        );
-        drifts(&key, "queue_ns", b.queue_ns, c.queue_ns, &mut out);
-        drifts(&key, "misses", b.misses, c.misses, &mut out);
-        for (i, (bc, cc)) in b.causes.iter().zip(&c.causes).enumerate() {
-            let name = format!("causes[{}]", ccnuma_sim::attrib::cause_slot_name(i));
-            drifts(&key, &name, *bc, *cc, &mut out);
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench regress`)",
-                c.key()
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(app: &str, np: usize, wall: u64) -> RegressEntry {
-        RegressEntry {
+    fn entry(app: &str, np: usize, wall: u64) -> Entry {
+        Entry {
             app: app.into(),
             problem: "p".into(),
             nprocs: np,
-            wall_ns: wall,
-            mem_stall_ns: 500,
-            queue_ns: 100,
-            misses: 40,
-            causes: [10, 10, 5, 10, 5],
+            values: vec![
+                vec![wall],
+                vec![500],
+                vec![100],
+                vec![40],
+                vec![10, 10, 5, 10, 5],
+            ],
         }
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let entries = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
-        let doc = to_json(&entries);
-        let back = parse(&doc).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn parse_unescapes_strings() {
-        let mut e = entry("fft", 4, 1_000);
-        e.problem = "a \"quoted\" case".into();
-        let back = parse(&to_json(&[e.clone()])).unwrap();
-        assert_eq!(back[0].problem, e.problem);
     }
 
     #[test]
     fn compare_passes_identical_and_within_tolerance() {
         let base = vec![entry("fft", 4, 1_000)];
-        assert!(compare(&base, &base, 0.02).is_empty());
+        assert!(GATE.compare(&base, &base, 0.02).is_empty());
         let mut close = base.clone();
-        close[0].wall_ns = 1_015; // +1.5% < 2%
-        assert!(compare(&base, &close, 0.02).is_empty());
+        close[0].values[0][0] = 1_015; // +1.5% < 2%
+        assert!(GATE.compare(&base, &close, 0.02).is_empty());
     }
 
     #[test]
     fn compare_flags_drift_and_shape_changes() {
         let base = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
         let mut cur = vec![entry("fft", 4, 1_100), entry("radix", 4, 500)];
-        cur[0].causes[4] = 20; // false-share count blew up
-        let msgs = compare(&base, &cur, 0.02);
+        cur[0].values[4][4] = 20; // false-share count blew up
+        let msgs = GATE.compare(&base, &cur, 0.02);
         assert!(
             msgs.iter().any(|m| m.contains("wall_ns drifted +10.00%")),
             "{msgs:?}"
@@ -346,8 +178,10 @@ mod tests {
         let entries = measure().unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
-            assert_eq!(e.causes.iter().sum::<u64>(), e.misses, "{}", e.key());
-            assert!(e.queue_ns <= e.mem_stall_ns, "{}", e.key());
+            let field = |name| GATE.get(e, name)[0];
+            let causes: u64 = GATE.get(e, "causes").iter().sum();
+            assert_eq!(causes, field("misses"), "{}", e.key());
+            assert!(field("queue_ns") <= field("mem_stall_ns"), "{}", e.key());
         }
         // Determinism: measuring again reproduces the snapshot bit-exactly.
         let again = measure().unwrap();

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use ccnuma_sim::json;
+
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -45,7 +47,7 @@ impl Table {
 
     /// The table rendered as RFC-4180-ish CSV (header line included).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
+        let field = |s: &str| {
             if s.contains([',', '"', '\n']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
@@ -57,13 +59,13 @@ impl Table {
             &self
                 .headers
                 .iter()
-                .map(|h| esc(h))
+                .map(|h| field(h))
                 .collect::<Vec<_>>()
                 .join(","),
         );
         out.push('\n');
         for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            out.push_str(&r.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -325,20 +327,6 @@ pub fn phase_attribution_table(stats: &ccnuma_sim::stats::RunStats) -> Table {
     t
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a run's attribution data — stall breakdown by resource,
 /// miss-cause mix, and per-structure sharing hot spots — as a small
 /// self-contained JSON document (no external dependencies).
@@ -351,7 +339,7 @@ pub fn attrib_json(label: &str, stats: &ccnuma_sim::stats::RunStats) -> String {
     s.push_str("{\n");
     s.push_str(&format!(
         "  \"version\": 1,\n  \"label\": \"{}\",\n",
-        json_escape(label)
+        json::esc(label)
     ));
     s.push_str(&format!("  \"wall_ns\": {},\n", stats.wall_ns));
     s.push_str(&format!(
@@ -397,7 +385,7 @@ pub fn attrib_json(label: &str, stats: &ccnuma_sim::stats::RunStats) -> String {
         }
         s.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"stall_ns\": {}, \"cause_misses\": [{}], \"hot_lines\": [",
-            json_escape(&r.name),
+            json::esc(&r.name),
             r.stall_ns,
             r.cause_misses
                 .iter()
@@ -460,7 +448,7 @@ pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) ->
             "{{\"proc\": {}, \"phase\": \"{}\", \"addr\": {}, \"bytes\": {}, \
              \"is_write\": {}, \"locks\": [{}]}}",
             a.proc,
-            json_escape(&a.phase),
+            json::esc(&a.phase),
             a.addr,
             a.bytes,
             a.is_write,
@@ -475,7 +463,7 @@ pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) ->
     s.push_str("{\n");
     s.push_str(&format!(
         "  \"version\": 1,\n  \"label\": \"{}\",\n",
-        json_escape(label)
+        json::esc(label)
     ));
     s.push_str(&format!(
         "  \"granularity\": \"{}\",\n",
@@ -516,7 +504,7 @@ pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) ->
         s.push_str(&format!(
             "\n    {{\"kind\": \"{}\", \"message\": \"{}\"}}",
             l.kind.name(),
-            json_escape(&l.message)
+            json::esc(&l.message)
         ));
     }
     s.push_str("\n  ]\n}\n");
@@ -595,7 +583,7 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
     s.push_str("{\n");
     s.push_str(&format!(
         "  \"version\": 1,\n  \"label\": \"{}\",\n  \"wall_ns\": {},\n",
-        json_escape(label),
+        json::esc(label),
         rep.wall_ns
     ));
     s.push_str(&format!("  \"total\": {},\n", buckets(&rep.total)));
@@ -612,7 +600,7 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
         }
         s.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"path\": {}}}",
-            json_escape(&ph.name),
+            json::esc(&ph.name),
             buckets(&ph.path)
         ));
     }
@@ -623,7 +611,7 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
         }
         s.push_str(&format!(
             "\n    {{\"scenario\": \"{}\", \"wall_ns\": {}}}",
-            json_escape(&w.name),
+            json::esc(&w.name),
             w.wall_ns
         ));
     }

@@ -66,7 +66,7 @@ impl MissCause {
 
     /// Short display name (`"cold"`, `"capacity"`, `"conflict"`,
     /// `"coh-true"`, `"coh-false"`).
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             MissCause::Cold => "cold",
             MissCause::Capacity => "capacity",
@@ -96,7 +96,7 @@ pub const CAUSE_SLOTS: usize = 6;
 pub const CAUSE_OTHER: usize = 5;
 
 /// Display name for a cause slot, including the extra [`CAUSE_OTHER`] one.
-pub fn cause_slot_name(i: usize) -> &'static str {
+pub const fn cause_slot_name(i: usize) -> &'static str {
     match i {
         0..=4 => MissCause::ALL[i].name(),
         _ => "(other)",

@@ -20,24 +20,8 @@ pub fn us(ns: Ns) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// A complete JSON string literal; the escaping lives in [`crate::json`].
+pub use crate::json::quote as json_str;
 
 /// An in-progress Chrome trace-event document: the `traceEvents` array
 /// plus closing metadata. Events are appended with [`ChromeDoc::event`]

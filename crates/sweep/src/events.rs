@@ -60,7 +60,7 @@ impl ExecEvent {
     /// A compact JSON rendering (used verbatim as SSE `cell` event
     /// payloads).
     pub fn to_json(&self) -> String {
-        let esc = crate::store::esc;
+        use ccnuma_sim::json::esc;
         match self {
             ExecEvent::Started { label, nprocs } => format!(
                 "{{\"kind\":\"started\",\"label\":\"{}\",\"nprocs\":{}}}",

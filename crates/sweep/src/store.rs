@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
+use ccnuma_sim::json::{self, esc};
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
 
@@ -113,28 +114,6 @@ pub struct CellRecord {
     pub error: Option<String>,
 }
 
-/// Escapes a string for embedding in a JSON line. Control characters
-/// must not survive literally: a raw `\n` in an error message would
-/// split the record across two physical lines and break the
-/// one-record-per-line invariant the crash-safety analysis relies on.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl CellRecord {
     /// Speedup over the sequential baseline (0.0 for failed cells).
     pub fn speedup(&self) -> f64 {
@@ -204,142 +183,52 @@ impl CellRecord {
     }
 
     /// Parses one JSONL line produced by [`CellRecord::to_json_line`].
-    /// A minimal parser for exactly that shape, like the regress
-    /// harness's — not a general JSON reader.
     ///
     /// # Errors
     ///
     /// Describes the first malformed field.
     pub fn parse_line(line: &str) -> Result<CellRecord, String> {
-        fn str_field(obj: &str, key: &str) -> Result<String, String> {
-            let pat = format!("\"{key}\": \"");
-            let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-            let mut out = String::new();
-            let mut chars = obj[start..].chars();
-            loop {
-                match chars.next() {
-                    Some('"') => return Ok(out),
-                    Some('\\') => match chars.next() {
-                        Some(c @ ('"' | '\\')) => out.push(c),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('u') => {
-                            let hex: String = chars.by_ref().take(4).collect();
-                            let c = (hex.len() == 4)
-                                .then(|| u32::from_str_radix(&hex, 16).ok())
-                                .flatten()
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape in {key}"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape in {key}")),
-                    },
-                    Some(c) => out.push(c),
-                    None => return Err(format!("unterminated {key}")),
-                }
-            }
-        }
-        fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-            let pat = format!("\"{key}\": ");
-            let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-            let digits: String = obj[start..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().map_err(|_| format!("bad number for {key}"))
+        fn counts<const N: usize>(line: &str, key: &str) -> Result<[u64; N], String> {
+            json::u64_array(line, key)?
+                .try_into()
+                .map_err(|v: Vec<u64>| format!("expected {N} {key} values, got {}", v.len()))
         }
         let line = line.trim();
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err("not a JSON object line".into());
         }
-        let status_name = str_field(line, "status")?;
+        let status_name = json::str_field(line, "status")?;
         let status = CellStatus::from_name(&status_name)
             .ok_or_else(|| format!("unknown status {status_name:?}"))?;
-        let causes_pat = "\"causes\": [";
-        let cstart = line
-            .find(causes_pat)
-            .ok_or_else(|| "missing causes".to_string())?
-            + causes_pat.len();
-        let cend = line[cstart..]
-            .find(']')
-            .ok_or_else(|| "unterminated causes".to_string())?;
-        let parts: Vec<&str> = line[cstart..cstart + cend].split(',').collect();
-        if parts.len() != 5 {
-            return Err(format!("expected 5 causes, got {}", parts.len()));
-        }
-        let mut causes = [0u64; 5];
-        for (slot, p) in causes.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad cause count {p:?}"))?;
-        }
-        let sanitize = match line.find("\"sanitize\": [") {
-            None => None,
-            Some(pos) => {
-                let sstart = pos + "\"sanitize\": [".len();
-                let send = line[sstart..]
-                    .find(']')
-                    .ok_or_else(|| "unterminated sanitize".to_string())?;
-                let parts: Vec<&str> = line[sstart..sstart + send].split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected 3 sanitize counts, got {}", parts.len()));
-                }
-                let mut counts = [0u64; 3];
-                for (slot, p) in counts.iter_mut().zip(parts) {
-                    *slot = p
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad sanitize count {p:?}"))?;
-                }
-                Some(counts)
-            }
-        };
-        let critpath = match line.find("\"critpath\": [") {
-            None => None,
-            Some(pos) => {
-                let cstart = pos + "\"critpath\": [".len();
-                let cend = line[cstart..]
-                    .find(']')
-                    .ok_or_else(|| "unterminated critpath".to_string())?;
-                let parts: Vec<&str> = line[cstart..cstart + cend].split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected 3 critpath times, got {}", parts.len()));
-                }
-                let mut times = [0u64; 3];
-                for (slot, p) in times.iter_mut().zip(parts) {
-                    *slot = p
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad critpath time {p:?}"))?;
-                }
-                Some(times)
-            }
+        // The two optional arrays are absent unless their observer ran.
+        let optional = |key: &str| {
+            line.contains(&format!("\"{key}\":"))
+                .then(|| counts::<3>(line, key))
+                .transpose()
         };
         Ok(CellRecord {
-            key: str_field(line, "key")?,
-            label: str_field(line, "label")?,
-            app: str_field(line, "app")?,
-            version: str_field(line, "version")?,
-            problem: str_field(line, "problem")?,
-            nprocs: num_field(line, "nprocs")? as usize,
-            scale: str_field(line, "scale")?,
+            key: json::str_field(line, "key")?,
+            label: json::str_field(line, "label")?,
+            app: json::str_field(line, "app")?,
+            version: json::str_field(line, "version")?,
+            problem: json::str_field(line, "problem")?,
+            nprocs: json::num_field(line, "nprocs")? as usize,
+            scale: json::str_field(line, "scale")?,
             status,
-            attempts: num_field(line, "attempts")? as u32,
-            host_ms: num_field(line, "host_ms")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            seq_ns: num_field(line, "seq_ns")?,
-            busy_ns: num_field(line, "busy_ns")?,
-            mem_ns: num_field(line, "mem_ns")?,
-            sync_ns: num_field(line, "sync_ns")?,
-            misses: num_field(line, "misses")?,
+            attempts: json::num_field(line, "attempts")? as u32,
+            host_ms: json::num_field(line, "host_ms")?,
+            wall_ns: json::num_field(line, "wall_ns")?,
+            seq_ns: json::num_field(line, "seq_ns")?,
+            busy_ns: json::num_field(line, "busy_ns")?,
+            mem_ns: json::num_field(line, "mem_ns")?,
+            sync_ns: json::num_field(line, "sync_ns")?,
+            misses: json::num_field(line, "misses")?,
             // Absent in stores written before the field existed.
-            events: num_field(line, "events").unwrap_or(0),
-            causes,
-            sanitize,
-            critpath,
-            error: str_field(line, "error").ok(),
+            events: json::num_field(line, "events").unwrap_or(0),
+            causes: counts::<5>(line, "causes")?,
+            sanitize: optional("sanitize")?,
+            critpath: optional("critpath")?,
+            error: json::str_field(line, "error").ok(),
         })
     }
 }

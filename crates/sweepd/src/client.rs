@@ -8,6 +8,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use ccnuma_sim::json;
 use ccnuma_sweep::store::CellRecord;
 
 /// What `POST /sweep` answered.
@@ -106,12 +107,12 @@ pub fn submit(addr: &str, dsl: &str) -> Result<SubmitResponse, String> {
         return Err(format!("submit rejected ({status}): {}", body.trim()));
     }
     Ok(SubmitResponse {
-        job: num_field(&body, "job")?,
-        cells: num_field(&body, "cells")? as usize,
-        cached: num_field(&body, "cached")? as usize,
-        enqueued: num_field(&body, "enqueued")? as usize,
-        pending: num_field(&body, "pending")? as usize,
-        complete: bool_field(&body, "complete")?,
+        job: json::num_field(&body, "job")?,
+        cells: json::num_field(&body, "cells")? as usize,
+        cached: json::num_field(&body, "cached")? as usize,
+        enqueued: json::num_field(&body, "enqueued")? as usize,
+        pending: json::num_field(&body, "pending")? as usize,
+        complete: json::bool_field(&body, "complete")?,
     })
 }
 
@@ -190,144 +191,21 @@ pub fn parse_job_status(body: &str) -> Result<JobStatus, String> {
     let head = &body[..records_at.unwrap_or(body.len())];
     let records = match records_at {
         None => Vec::new(),
-        Some(at) => parse_record_array(&body[at + "\"records\":[".len()..])?,
+        Some(at) => json::objects(&body[at + "\"records\":[".len()..])?
+            .into_iter()
+            .map(|rec| rec.map(CellRecord::parse_line).transpose())
+            .collect::<Result<_, _>>()?,
     };
     Ok(JobStatus {
-        job: num_field(head, "job")?,
-        total: num_field(head, "total")? as usize,
-        cached: num_field(head, "cached")? as usize,
-        executed: num_field(head, "executed")? as usize,
-        done: num_field(head, "done")? as usize,
-        complete: bool_field(head, "complete")?,
-        quarantined: string_array_field(head, "quarantined")?,
+        job: json::num_field(head, "job")?,
+        total: json::num_field(head, "total")? as usize,
+        cached: json::num_field(head, "cached")? as usize,
+        executed: json::num_field(head, "executed")? as usize,
+        done: json::num_field(head, "done")? as usize,
+        complete: json::bool_field(head, "complete")?,
+        quarantined: json::str_array(head, "quarantined")?,
         records,
     })
-}
-
-/// Parses `null`/object elements up to the array's closing `]`,
-/// tracking string state so braces inside error messages don't confuse
-/// the object scanner.
-fn parse_record_array(mut rest: &str) -> Result<Vec<Option<CellRecord>>, String> {
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([' ', ',', '\n']);
-        if rest.is_empty() {
-            return Err("unterminated records array".into());
-        }
-        if let Some(after) = rest.strip_prefix(']') {
-            let _ = after;
-            return Ok(out);
-        }
-        if let Some(after) = rest.strip_prefix("null") {
-            out.push(None);
-            rest = after;
-            continue;
-        }
-        if !rest.starts_with('{') {
-            return Err(format!(
-                "expected record object, found {:?}",
-                &rest[..rest.len().min(20)]
-            ));
-        }
-        let end = object_end(rest).ok_or_else(|| "unterminated record object".to_string())?;
-        let rec = CellRecord::parse_line(&rest[..=end])?;
-        out.push(Some(rec));
-        rest = &rest[end + 1..];
-    }
-}
-
-/// Byte index of the `}` closing the object that starts at byte 0.
-fn object_end(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn field_start<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-    Ok(obj[at + pat.len()..].trim_start())
-}
-
-fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-    let digits: String = field_start(obj, key)?
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().map_err(|_| format!("bad number for {key}"))
-}
-
-fn bool_field(obj: &str, key: &str) -> Result<bool, String> {
-    let rest = field_start(obj, key)?;
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err(format!("bad bool for {key}"))
-    }
-}
-
-/// Parses a flat array of strings (labels: escapes beyond `\"` and `\\`
-/// do not occur).
-fn string_array_field(obj: &str, key: &str) -> Result<Vec<String>, String> {
-    let mut rest = field_start(obj, key)?
-        .strip_prefix('[')
-        .ok_or_else(|| format!("{key} is not an array"))?;
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([' ', ',']);
-        if let Some(after) = rest.strip_prefix(']') {
-            let _ = after;
-            return Ok(out);
-        }
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return Err(format!("expected string in {key}")),
-        }
-        let mut value = String::new();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, e)) => value.push(e),
-                    None => return Err(format!("bad escape in {key}")),
-                },
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => value.push(c),
-            }
-        }
-        let end = end.ok_or_else(|| format!("unterminated string in {key}"))?;
-        out.push(value);
-        rest = &rest[end + 1..];
-    }
 }
 
 #[cfg(test)]

@@ -98,25 +98,11 @@ pub fn respond_json<W: Write>(stream: &mut W, status: &str, json: &str) {
 
 /// Writes a JSON error object, `{"error":"..."}`.
 pub fn respond_error<W: Write>(stream: &mut W, status: &str, msg: &str) {
-    respond_json(stream, status, &format!("{{\"error\":\"{}\"}}", esc(msg)));
-}
-
-/// Escapes a string for embedding in a JSON value (same discipline as
-/// the store's line escaper: control characters must not survive raw).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    respond_json(
+        stream,
+        status,
+        &format!("{{\"error\":{}}}", ccnuma_sim::json::quote(msg)),
+    );
 }
 
 /// Formats one SSE frame (`event: kind` + one `data:` line).

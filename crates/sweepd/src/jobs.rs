@@ -10,7 +10,7 @@ use std::sync::mpsc::Sender;
 
 use ccnuma_sweep::store::CellRecord;
 
-use crate::http;
+use ccnuma_sim::json;
 
 /// One submitted sweep request.
 #[derive(Debug)]
@@ -63,15 +63,11 @@ impl Job {
 
     /// The summary object: everything but the records.
     pub fn summary_json(&self) -> String {
-        let quarantined: Vec<String> = self
-            .quarantined()
-            .iter()
-            .map(|l| format!("\"{}\"", http::esc(l)))
-            .collect();
+        let quarantined: Vec<String> = self.quarantined().iter().map(|l| json::quote(l)).collect();
         format!(
-            "{{\"job\":{},\"dsl\":\"{}\",\"total\":{},\"cached\":{},\"executed\":{},\"done\":{},\"complete\":{},\"quarantined\":[{}]}}",
+            "{{\"job\":{},\"dsl\":{},\"total\":{},\"cached\":{},\"executed\":{},\"done\":{},\"complete\":{},\"quarantined\":[{}]}}",
             self.id,
-            http::esc(&self.dsl),
+            json::quote(&self.dsl),
             self.total(),
             self.cached,
             self.executed,
