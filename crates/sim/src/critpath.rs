@@ -36,13 +36,15 @@
 //! records dependencies on the side and never feeds back into simulated
 //! timing, statistics, or run identity.
 
-use crate::attrib::{cause_slot_name, LatencyBreakdown, ResourceClass, CAUSE_SLOTS};
+use crate::attrib::{cause_slot_name, ResourceClass, CAUSE_SLOTS};
 use crate::chrome::{json_str, us, ChromeDoc};
+use crate::memsys::Outcome;
+use crate::observe::{Event, Grant};
 use crate::time::Ns;
 
 /// Sentinel item index meaning "the beginning of time" (the referenced
 /// processor had recorded nothing yet).
-pub(crate) const NO_ITEM: u32 = u32::MAX;
+const NO_ITEM: u32 = u32::MAX;
 
 /// The kind of synchronization wait a dependency edge crossed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +70,7 @@ impl WaitKind {
 
 /// What a recorded wait depends on.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Dep {
+enum Dep {
     /// A single releaser: (processor, item index of everything it did up
     /// to the release).
     One(usize, u32),
@@ -187,8 +189,8 @@ impl ProcState {
     }
 }
 
-/// Passive recorder of the execution's dependency structure; driven by the
-/// engine when [`MachineConfig::critpath`](crate::config::MachineConfig::critpath)
+/// Passive recorder of the execution's dependency structure; fed the
+/// engine's observer events when [`MachineConfig::critpath`](crate::config::MachineConfig::critpath)
 /// is enabled, finalized into a [`CritReport`] at the end of the run.
 #[derive(Debug)]
 pub struct CritCollector {
@@ -205,49 +207,78 @@ impl CritCollector {
         }
     }
 
+    /// Records the timeline and dependency edges `ev` implies.
+    pub(crate) fn on(&mut self, ev: &Event) {
+        match *ev {
+            Event::Busy { at, ns } => self.busy(at.p, ns),
+            Event::SyncOp { at, ns } => self.sync_op(at.p, ns),
+            Event::Access(a) => self.mem(a.at.p, a.outcome, a.cause_slot),
+            Event::Phase { at } => self.set_phase(at.p, at.phase, at.t),
+            Event::LockGrant(g) => self.handoff(g, WaitKind::Lock),
+            Event::SemGrant(g) => self.handoff(g, WaitKind::Sem),
+            Event::BarrierRelease { arrivals, t, .. } => {
+                // One episode over *all* arrivals (the what-if replay
+                // re-evaluates which is latest), then a wait edge for
+                // every processor the release delayed.
+                let deps = arrivals
+                    .iter()
+                    .map(|&(w, a)| (w, self.boundary(w, a), a))
+                    .collect();
+                self.episodes.push(Episode { deps });
+                let e = Dep::Episode((self.episodes.len() - 1) as u32);
+                for &(w, arrived) in arrivals.iter().filter(|&&(_, a)| t > a) {
+                    self.wait(w, arrived, t, WaitKind::Barrier, e.clone());
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Records the release → acquire dependency edge of a hand-off that
+    /// delayed its waiter.
+    fn handoff(&mut self, g: Grant, kind: WaitKind) {
+        if g.grant > g.at.t {
+            let rel = self.boundary(g.from, g.release_t);
+            self.wait(g.at.p, g.at.t, g.grant, kind, Dep::One(g.from, rel));
+        }
+    }
+
     /// Processor `p` computed for `ns`.
-    pub(crate) fn busy(&mut self, p: usize, ns: Ns) {
+    fn busy(&mut self, p: usize, ns: Ns) {
         let s = &mut self.procs[p];
         s.open.busy_ns += ns;
         s.end += ns;
     }
 
     /// Processor `p` spent `ns` in a synchronization operation.
-    pub(crate) fn sync_op(&mut self, p: usize, ns: Ns) {
+    fn sync_op(&mut self, p: usize, ns: Ns) {
         let s = &mut self.procs[p];
         s.open.sync_op_ns += ns;
         s.end += ns;
     }
 
-    /// Processor `p` stalled `latency` on a memory access (`local` home or
-    /// remote), with its cause slot and resource breakdown.
-    pub(crate) fn mem(
-        &mut self,
-        p: usize,
-        local: bool,
-        cause_slot: usize,
-        latency: Ns,
-        bd: &LatencyBreakdown,
-    ) {
+    /// Processor `p` stalled on a memory access serviced with `o`, whose
+    /// miss-cause slot is `cause_slot`.
+    fn mem(&mut self, p: usize, o: &Outcome, cause_slot: usize) {
         let s = &mut self.procs[p];
-        if local {
-            s.open.mem_local_ns += latency;
+        if o.home_local {
+            s.open.mem_local_ns += o.latency;
         } else {
-            s.open.mem_remote_ns += latency;
+            s.open.mem_remote_ns += o.latency;
         }
-        s.open.cause_ns[cause_slot] += latency;
+        s.open.cause_ns[cause_slot] += o.latency;
         for i in 0..4 {
-            s.open.queue[i] += bd.queue[i];
-            s.open.service[i] += bd.service[i];
+            s.open.queue[i] += o.breakdown.queue[i];
+            s.open.service[i] += o.breakdown.service[i];
         }
-        s.end += latency;
+        s.end += o.latency;
     }
 
     /// Marks a dependency boundary on processor `p` at time `t` (a lock
     /// release, semaphore post, or barrier arrival): closes the open chunk
     /// and returns the index of the item that ends at `t` ([`NO_ITEM`] if
     /// the processor has recorded nothing yet).
-    pub(crate) fn boundary(&mut self, p: usize, t: Ns) -> u32 {
+    fn boundary(&mut self, p: usize, t: Ns) -> u32 {
         let s = &mut self.procs[p];
         debug_assert_eq!(s.end, t, "boundary time must match the recorded clock");
         s.close_open();
@@ -258,16 +289,9 @@ impl CritCollector {
         }
     }
 
-    /// Registers a barrier episode over all participants' arrivals and
-    /// returns its id for [`Dep::Episode`].
-    pub(crate) fn add_episode(&mut self, deps: Vec<(usize, u32, Ns)>) -> u32 {
-        self.episodes.push(Episode { deps });
-        (self.episodes.len() - 1) as u32
-    }
-
     /// Processor `p` blocked from `arrived` until `grant` (`grant >
     /// arrived`) on a `kind` wait whose releaser is `dep`.
-    pub(crate) fn wait(&mut self, p: usize, arrived: Ns, grant: Ns, kind: WaitKind, dep: Dep) {
+    fn wait(&mut self, p: usize, arrived: Ns, grant: Ns, kind: WaitKind, dep: Dep) {
         debug_assert!(grant > arrived, "zero-length waits are not recorded");
         let s = &mut self.procs[p];
         debug_assert_eq!(s.end, arrived, "wait must start at the recorded clock");
@@ -283,7 +307,7 @@ impl CritCollector {
     }
 
     /// Processor `p` entered phase `phase` at time `t`.
-    pub(crate) fn set_phase(&mut self, p: usize, phase: u32, t: Ns) {
+    fn set_phase(&mut self, p: usize, phase: u32, t: Ns) {
         let s = &mut self.procs[p];
         debug_assert_eq!(s.end, t, "phase change must happen at the recorded clock");
         s.close_open();
@@ -1058,13 +1082,12 @@ mod tests {
         c.busy(0, 10);
         c.busy(1, 40);
         c.busy(2, 100);
-        let deps: Vec<(usize, u32, Ns)> = [(0usize, 10u64), (1, 40), (2, 100)]
-            .iter()
-            .map(|&(p, t)| (p, c.boundary(p, t), t))
-            .collect();
-        let e = c.add_episode(deps);
-        c.wait(0, 10, 100, WaitKind::Barrier, Dep::Episode(e));
-        c.wait(1, 40, 100, WaitKind::Barrier, Dep::Episode(e));
+        let arrivals = [(0, 10), (1, 40), (2, 100)];
+        c.on(&Event::BarrierRelease {
+            id: 0,
+            arrivals: &arrivals,
+            t: 100,
+        });
         c.busy(0, 20);
         c.busy(1, 10);
         c.busy(2, 20);
@@ -1085,12 +1108,13 @@ mod tests {
     #[test]
     fn mem_detail_lands_in_report() {
         let mut c = CritCollector::new(1);
-        let mut bd = LatencyBreakdown::default();
-        bd.queue[0] = 30;
-        bd.service[1] = 50;
-        bd.other_ns = 20;
+        let mut o = Outcome::hit(100);
+        o.home_local = false;
+        o.breakdown.queue[0] = 30;
+        o.breakdown.service[1] = 50;
+        o.breakdown.other_ns = 20;
         c.busy(0, 100);
-        c.mem(0, false, 4, 100, &bd);
+        c.mem(0, &o, 4);
         let rep = c.finalize(200, &["main".to_string()]);
         assert_eq!(rep.total.mem_remote_ns, 100);
         assert_eq!(rep.mem_cause_ns[4], 100);

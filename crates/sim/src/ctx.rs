@@ -15,9 +15,9 @@
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{Receiver, Sender};
 
-use crate::config::CostModel;
+use crate::config::{CostModel, MachineConfig};
 use crate::page::Addr;
-use crate::proto::{MemOp, OpKind, Reply, Request};
+use crate::proto::{Action, MemOp, OpKind, Reply, Request};
 use crate::sync::{BarrierRef, FetchCellRef, LockRef, SemRef};
 use crate::time::Ns;
 
@@ -46,24 +46,20 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    #[allow(clippy::too_many_arguments)]
+    /// Processor `id`'s context on a machine configured by `cfg`.
     pub(crate) fn new(
         id: usize,
-        nprocs: usize,
-        line_bytes: u64,
-        cost: CostModel,
-        prefetch_enabled: bool,
-        sanitize: bool,
+        cfg: &MachineConfig,
         tx: Sender<(usize, Request)>,
         rx: Receiver<Reply>,
     ) -> Self {
         Ctx {
             id,
-            nprocs,
-            line_bytes,
-            cost,
-            prefetch_enabled,
-            sanitize,
+            nprocs: cfg.nprocs,
+            line_bytes: cfg.cache.line_bytes as u64,
+            cost: cfg.cost,
+            prefetch_enabled: cfg.prefetch_enabled,
+            sanitize: cfg.sanitize.enabled,
             busy: Cell::new(0),
             ops: RefCell::new(Vec::with_capacity(FLUSH_THRESHOLD + 1)),
             san: RefCell::new(Vec::new()),
@@ -180,16 +176,20 @@ impl Ctx {
         }
     }
 
-    fn take_pending(&self) -> (Ns, Vec<MemOp>, Vec<MemOp>) {
-        (
-            self.busy.replace(0),
-            std::mem::take(&mut *self.ops.borrow_mut()),
-            std::mem::take(&mut *self.san.borrow_mut()),
-        )
+    /// A request carrying all buffered work, then `action`.
+    fn request(&self, action: Action) -> Request {
+        Request {
+            busy: self.busy.replace(0),
+            ops: std::mem::take(&mut *self.ops.borrow_mut()),
+            san: std::mem::take(&mut *self.san.borrow_mut()),
+            action,
+        }
     }
 
-    fn send(&self, req: Request) -> Reply {
-        if self.tx.send((self.id, req)).is_err() {
+    /// Sends the buffered work and `action`, blocking until the engine
+    /// has carried them out in virtual time.
+    fn send(&self, action: Action) -> Reply {
+        if self.tx.send((self.id, self.request(action))).is_err() {
             std::panic::panic_any(crate::proto::EngineGone);
         }
         match self.rx.recv() {
@@ -202,11 +202,10 @@ impl Ctx {
     /// advancing this processor's virtual clock. Called automatically by
     /// every synchronization operation and when the buffer fills.
     pub fn flush(&self) {
-        let (busy, ops, san) = self.take_pending();
-        if busy == 0 && ops.is_empty() {
+        if self.busy.get() == 0 && self.ops.borrow().is_empty() {
             return;
         }
-        self.send(Request::Ops { busy, ops, san });
+        self.send(Action::Flush);
     }
 
     // ---- phases ----------------------------------------------------------
@@ -218,37 +217,19 @@ impl Ctx {
     /// tracing is enabled, label the exported timeline. Marking the same
     /// name again re-enters that phase (phase ids are interned by name).
     pub fn phase(&self, name: &str) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Phase {
-            busy,
-            ops,
-            san,
-            name: name.to_string(),
-        });
+        self.send(Action::Phase(name.to_string()));
     }
 
     // ---- synchronization ---------------------------------------------------
 
     /// Waits until every processor has arrived at barrier `b`.
     pub fn barrier(&self, b: BarrierRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Barrier {
-            busy,
-            ops,
-            san,
-            id: b.0 as usize,
-        });
+        self.send(Action::Barrier(b.0 as usize));
     }
 
     /// Acquires lock `l`, blocking in virtual time while it is held.
     pub fn lock(&self, l: LockRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Lock {
-            busy,
-            ops,
-            san,
-            id: l.0 as usize,
-        });
+        self.send(Action::Lock(l.0 as usize));
     }
 
     /// Releases lock `l`.
@@ -257,13 +238,7 @@ impl Ctx {
     ///
     /// The simulation fails if the calling processor does not hold `l`.
     pub fn unlock(&self, l: LockRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Unlock {
-            busy,
-            ops,
-            san,
-            id: l.0 as usize,
-        });
+        self.send(Action::Unlock(l.0 as usize));
     }
 
     /// Runs `f` with lock `l` held.
@@ -278,49 +253,23 @@ impl Ctx {
     /// value. The cost model follows the configured lock primitive (LL/SC
     /// read-modify-write or at-memory fetch&op).
     pub fn fetch_add(&self, c: FetchCellRef, delta: i64) -> i64 {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::FetchAdd {
-            busy,
-            ops,
-            san,
-            id: c.0 as usize,
-            delta,
-        })
-        .value
+        self.send(Action::FetchAdd(c.0 as usize, delta)).value
     }
 
     /// Decrements semaphore `s`, blocking in virtual time while it is zero.
     pub fn sem_wait(&self, s: SemRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::SemWait {
-            busy,
-            ops,
-            san,
-            id: s.0 as usize,
-        });
+        self.send(Action::SemWait(s.0 as usize));
     }
 
     /// Increments semaphore `s` by `n`, waking blocked waiters.
     pub fn sem_post(&self, s: SemRef, n: u32) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::SemPost {
-            busy,
-            ops,
-            san,
-            id: s.0 as usize,
-            n,
-        });
+        self.send(Action::SemPost(s.0 as usize, n));
     }
 
-    /// Called by the runtime when the body returns.
-    pub(crate) fn finish(&self) {
-        let (busy, ops, san) = self.take_pending();
-        let _ = self.tx.send((self.id, Request::Finish { busy, ops, san }));
-    }
-
-    /// Called by the runtime when the body panics.
-    pub(crate) fn report_panic(&self, msg: String) {
-        let _ = self.tx.send((self.id, Request::Panic(msg)));
+    /// Called by the runtime when the body returns or panics: sends the
+    /// final request without waiting for a reply.
+    pub(crate) fn finish(&self, action: Action) {
+        let _ = self.tx.send((self.id, self.request(action)));
     }
 }
 

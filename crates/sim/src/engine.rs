@@ -7,30 +7,31 @@
 //! appear), which makes runs deterministic regardless of host scheduling.
 //!
 //! All time charged to a processor flows through the `charge_*` helpers,
-//! which update the per-processor totals, the per-phase accumulators and
-//! (when enabled) the event trace together, so the three views reconcile
-//! by construction.
+//! which update the per-processor totals and the per-phase accumulators
+//! together, so the two reconcile by construction. Everything the
+//! optional views of a run need — those charges, each access, phase
+//! changes, synchronization hand-offs, the start of each event — leaves
+//! the engine as one [`Event`] through the observer seam
+//! ([`crate::observe`]), emitted from one place per kind. The engine never
+//! reads an observer back, so no observer can change the run.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::sync::mpsc::{Receiver, SyncSender};
 
 use crate::attrib::{word_mask, MissCause, CAUSE_OTHER};
 use crate::config::{BarrierImpl, LockImpl, MachineConfig};
-use crate::critpath::{CritCollector, Dep, WaitKind};
 use crate::error::SimError;
-use crate::live::{LiveDelta, LIVE};
 use crate::memsys::{AccessClass, AccessKind, MemorySystem, Outcome};
+use crate::observe::{At, Event, Grant, LineAccess, Observers};
 use crate::page::Addr;
 use crate::prof::{self, Region};
-use crate::profile::Profiler;
-use crate::proto::{MemOp, OpKind, Reply, Request};
-use crate::sanitize::Sanitizer;
+use crate::proto::{Action, MemOp, OpKind, Reply, Request};
 use crate::schedule::Perturber;
 use crate::stats::{PhaseBreakdown, PhaseStats, ProcStats, RunStats};
 use crate::sync::{BarrierState, LockState, SemState};
 use crate::time::Ns;
-use crate::trace::{gauge_totals, InstantKind, SpanKind, TraceBuffer};
 
 /// An atomic fetch&add cell.
 pub(crate) struct FetchCell {
@@ -46,6 +47,24 @@ pub(crate) struct SyncTables {
     pub cells: Vec<FetchCell>,
 }
 
+/// The synchronization object a processor is parked on.
+#[derive(Debug, Clone, Copy)]
+enum Parked {
+    Lock(usize),
+    Barrier(usize),
+    Semaphore(usize),
+}
+
+impl fmt::Display for Parked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Parked::Lock(id) => write!(f, "lock {id}"),
+            Parked::Barrier(id) => write!(f, "barrier {id}"),
+            Parked::Semaphore(id) => write!(f, "semaphore {id}"),
+        }
+    }
+}
+
 struct ProcRuntime {
     clock: Ns,
     stats: ProcStats,
@@ -54,8 +73,8 @@ struct ProcRuntime {
     pending: Option<Request>,
     /// Thread is executing application code (we owe nothing, it owes a request).
     running: bool,
-    /// Human-readable reason while parked on a sync object.
-    parked_on: Option<String>,
+    /// What the processor is parked on, for deadlock reports.
+    parked_on: Option<Parked>,
     done: bool,
 }
 
@@ -69,46 +88,34 @@ pub(crate) struct Engine {
     req_rx: Receiver<(usize, Request)>,
     done_count: usize,
     log2p: u32,
-    profiler: Profiler,
-    tracer: TraceBuffer,
     /// Interned phase names; id 0 is the implicit `"main"` phase.
     phase_names: Vec<String>,
     /// Per-processor, per-phase time accumulators.
     phase_acc: Vec<Vec<PhaseBreakdown>>,
-    /// Virtual time at which each lock was last acquired (for hold spans).
-    lock_hold_start: Vec<Ns>,
-    /// Happens-before sanitizer, when `cfg.sanitize.enabled` is set.
-    /// Purely observational: it is never consulted for timing.
-    sanitizer: Option<Box<Sanitizer>>,
-    /// Critical-path collector, when `cfg.critpath` is set. Purely
-    /// observational, like the sanitizer: never consulted for timing.
-    critpath: Option<Box<CritCollector>>,
-    /// Seeded schedule perturber, when `cfg.schedule` is set. All its
+    /// Seeded schedule perturber, when `cfg.schedule` is set. Unlike the
+    /// observers it changes the run, so it is engine state. All its
     /// decisions happen here on the coordinator thread, in deterministic
     /// event order, so a seed replays bit-identically; when `None` every
-    /// choice point takes its original code path unchanged.
+    /// choice point takes its default (FIFO or processor order).
     sched: Option<Box<Perturber>>,
-    /// Buffered deltas for the process-wide live counters
-    /// ([`crate::live::LIVE`]); write-only from the engine's side.
-    live: LiveDelta,
+    /// The run's observers, fed through [`Observers::emit`] only.
+    obs: Observers,
 }
 
 impl Engine {
-    #[allow(clippy::too_many_arguments)]
+    /// An engine over `mem` and `sync`; `labels` are the labelled
+    /// allocations as `(name, base, bytes)`.
     pub(crate) fn new(
         cfg: MachineConfig,
         mem: MemorySystem,
         sync: SyncTables,
+        labels: &[(String, Addr, u64)],
         reply_tx: Vec<SyncSender<Reply>>,
         req_rx: Receiver<(usize, Request)>,
-        profiler: Profiler,
-        tracer: TraceBuffer,
-        sanitizer: Option<Box<Sanitizer>>,
-        critpath: Option<Box<CritCollector>>,
     ) -> Self {
         let n = cfg.nprocs;
-        let nlocks = sync.locks.len();
         let sched = cfg.schedule.map(|sc| Box::new(Perturber::new(sc, n)));
+        let obs = Observers::new(&cfg, &mem.contention, &sync, labels);
         Engine {
             log2p: (n.max(2) as u32).next_power_of_two().trailing_zeros(),
             cfg,
@@ -129,22 +136,15 @@ impl Engine {
             reply_tx,
             req_rx,
             done_count: 0,
-            profiler,
-            tracer,
             phase_names: vec!["main".to_string()],
             phase_acc: (0..n).map(|_| vec![PhaseBreakdown::default()]).collect(),
-            lock_hold_start: vec![0; nlocks],
-            sanitizer,
-            critpath,
             sched,
-            live: LiveDelta::default(),
+            obs,
         }
     }
 
     /// Runs the event loop to completion.
     pub(crate) fn run(mut self) -> Result<RunStats, SimError> {
-        use std::sync::atomic::Ordering::Relaxed;
-        LIVE.runs_started.fetch_add(1, Relaxed);
         // Host-time self-profiling for this run; the scope flushes the
         // thread's aggregates and disables recording on every exit path.
         // Purely observational: simulated results are bit-identical with
@@ -205,23 +205,17 @@ impl Engine {
                     }
                     sched.tick();
                 }
-                // Popped times are nondecreasing, so this drives the
-                // gauge sampling clock forward monotonically.
-                self.sample_gauges(t);
+                // Popped times are nondecreasing, so ticks drive the
+                // observers' sampling clocks forward monotonically.
+                self.obs.emit(&Event::Tick {
+                    t,
+                    contention: &self.mem.contention,
+                });
                 {
                     let _sp = prof::span(Region::EngineDispatch);
-                    self.process(p)?;
+                    self.process(p);
                 }
                 events += 1;
-                if self.live.event() {
-                    {
-                        let _sp = prof::span(Region::LiveFlush);
-                        self.live.flush();
-                    }
-                    // Piggyback the profiler's fold-to-global on the same
-                    // cadence so live observers see mid-run data.
-                    prof::flush_thread();
-                }
             } else if frontier.is_some() {
                 // Block until a running thread submits.
                 match self.req_rx.recv() {
@@ -238,24 +232,10 @@ impl Engine {
                     .procs
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, p)| p.parked_on.as_ref().map(|r| format!("proc {i} on {r}")))
+                    .filter_map(|(i, p)| p.parked_on.map(|r| format!("proc {i} on {r}")))
                     .collect();
-                let mut msg = blocked.join(", ");
-                // A deadlocked run produces no statistics to attach the
-                // sanitize report to; fold its lints (e.g. barrier
-                // divergence) into the error instead.
-                if let Some(san) = self.sanitizer.take() {
-                    let rep = san.finalize(&self.phase_names);
-                    if !rep.lints.is_empty() {
-                        let lints: Vec<String> = rep
-                            .lints
-                            .iter()
-                            .map(|l| format!("{}: {}", l.kind.name(), l.message))
-                            .collect();
-                        msg = format!("{msg}; sanitize: {}", lints.join("; "));
-                    }
-                }
-                return Err(SimError::Deadlock(msg));
+                let note = self.obs.deadlock_note(&self.phase_names);
+                return Err(SimError::Deadlock(blocked.join(", ") + &note));
             }
         }
         let wall = self
@@ -264,14 +244,11 @@ impl Engine {
             .map(|p| p.stats.finish_ns)
             .max()
             .unwrap_or(0);
-        self.sample_gauges(wall);
-        self.live.flush();
-        LIVE.sim_ns.fetch_add(wall, Relaxed);
-        LIVE.runs_finished.fetch_add(1, Relaxed);
-        let phase_names = std::mem::take(&mut self.phase_names);
-        let sanitize = self.sanitizer.take().map(|s| s.finalize(&phase_names));
-        let critpath = self.critpath.take().map(|c| c.finalize(wall, &phase_names));
-        let phases: Vec<PhaseStats> = phase_names
+        let reports = self
+            .obs
+            .finish(wall, &self.mem.contention, &self.phase_names);
+        let phases: Vec<PhaseStats> = self
+            .phase_names
             .iter()
             .enumerate()
             .map(|(i, name)| PhaseStats {
@@ -288,17 +265,17 @@ impl Engine {
             events,
             page_migrations: self.mem.page_migrations(),
             resources: self.mem.contention.summary(),
-            ranges: self.profiler.into_profiles(&phase_names),
-            trace: self.tracer.finish(phase_names),
+            ranges: reports.ranges,
+            trace: reports.trace,
             phases,
             procs: self.procs.into_iter().map(|p| p.stats).collect(),
-            sanitize,
-            critpath,
+            sanitize: reports.sanitize,
+            critpath: reports.critpath,
         })
     }
 
     fn accept(&mut self, p: usize, req: Request) -> Result<(), SimError> {
-        if let Request::Panic(msg) = req {
+        if let Action::Panic(msg) = req.action {
             return Err(SimError::AppPanic(msg));
         }
         debug_assert!(self.procs[p].pending.is_none(), "proc {p} double-submitted");
@@ -335,20 +312,27 @@ impl Engine {
         &mut v[i]
     }
 
+    /// Processor `p`'s observer tag: its clock and current phase.
+    fn at(&self, p: usize) -> At {
+        let rt = &self.procs[p];
+        At {
+            p,
+            t: rt.clock,
+            phase: rt.phase,
+        }
+    }
+
     /// Charges `ns` of computation to `p`, advancing its clock.
     fn charge_busy(&mut self, p: usize, ns: Ns) {
         if ns == 0 {
             return;
         }
+        let at = self.at(p);
+        self.obs.emit(&Event::Busy { at, ns });
         let rt = &mut self.procs[p];
-        let (t0, ph) = (rt.clock, rt.phase);
         rt.stats.busy_ns += ns;
         rt.clock += ns;
-        self.slice(p, ph).busy_ns += ns;
-        self.tracer.span(p, ph, SpanKind::Busy, t0, ns);
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.busy(p, ns);
-        }
+        self.slice(p, at.phase).busy_ns += ns;
     }
 
     /// Charges `ns` of synchronization-operation overhead to `p`,
@@ -357,32 +341,30 @@ impl Engine {
         if ns == 0 {
             return;
         }
+        let at = self.at(p);
+        self.obs.emit(&Event::SyncOp { at, ns });
         let rt = &mut self.procs[p];
-        let (t0, ph) = (rt.clock, rt.phase);
         rt.stats.sync_op_ns += ns;
         rt.clock += ns;
-        self.slice(p, ph).sync_op_ns += ns;
-        self.tracer.span(p, ph, SpanKind::SyncOp, t0, ns);
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.sync_op(p, ns);
-        }
+        self.slice(p, at.phase).sync_op_ns += ns;
     }
 
-    /// Charges the wait interval `[from, until]` to `p` (the caller moves
-    /// the clock to the grant time itself).
-    fn charge_sync_wait(&mut self, p: usize, from: Ns, until: Ns) {
-        let ns = until.saturating_sub(from);
-        if ns == 0 {
-            return;
+    /// Charges `p`'s wait from its clock (where it parked) to `until`, and
+    /// moves the clock there.
+    fn charge_sync_wait(&mut self, p: usize, until: Ns) {
+        let at = self.at(p);
+        let ns = until.saturating_sub(at.t);
+        if ns > 0 {
+            self.obs.emit(&Event::SyncWait { at, ns });
+            self.procs[p].stats.sync_wait_ns += ns;
+            self.slice(p, at.phase).sync_wait_ns += ns;
         }
-        let ph = self.procs[p].phase;
-        self.procs[p].stats.sync_wait_ns += ns;
-        self.slice(p, ph).sync_wait_ns += ns;
-        self.tracer.span(p, ph, SpanKind::SyncWait, from, ns);
+        self.procs[p].clock = until;
     }
 
-    /// Charges one serviced memory access to `p`, advancing its clock.
-    fn charge_access(&mut self, p: usize, kind: AccessKind, o: &Outcome) {
+    /// Charges one serviced access at `addr` to `p`, advancing its clock.
+    fn charge_access(&mut self, p: usize, addr: Addr, kind: AccessKind, o: &Outcome) {
+        let at = self.at(p);
         let rt = &mut self.procs[p];
         let stats = &mut rt.stats;
         match kind {
@@ -429,20 +411,8 @@ impl Engine {
             None => CAUSE_OTHER,
         };
         stats.mem_cause_ns[cause_slot] += o.latency;
-        self.live.access(
-            o.class == AccessClass::Hit,
-            matches!(
-                o.class,
-                AccessClass::LocalMiss | AccessClass::RemoteClean | AccessClass::RemoteDirty
-            ),
-            o.miss_cause.map(|_| cause_slot),
-            o.latency,
-            &o.breakdown,
-        );
-        let rt = &mut self.procs[p];
-        let (t0, ph) = (rt.clock, rt.phase);
         rt.clock += o.latency;
-        let s = self.slice(p, ph);
+        let s = self.slice(p, at.phase);
         s.mem_ns += o.latency;
         if o.home_local {
             s.mem_local_ns += o.latency;
@@ -451,41 +421,21 @@ impl Engine {
         }
         s.mem_breakdown.add(&o.breakdown);
         s.mem_cause_ns[cause_slot] += o.latency;
-        if self.tracer.enabled() {
-            let k = if o.home_local {
-                SpanKind::MemLocal
-            } else {
-                SpanKind::MemRemote
-            };
-            self.tracer.span(p, ph, k, t0, o.latency);
-            if o.migrated {
-                self.tracer.instant(p, t0, InstantKind::PageMigration, 0);
-            }
-            if o.invals >= 2 {
-                self.tracer
-                    .instant(p, t0, InstantKind::InvalBurst, o.invals);
-            }
-            if o.late_prefetch {
-                self.tracer.instant(p, t0, InstantKind::LatePrefetch, 0);
-            }
-        }
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.mem(p, o.home_local, cause_slot, o.latency, &o.breakdown);
-        }
+        self.obs.emit(&Event::Access(LineAccess {
+            at,
+            addr,
+            kind,
+            outcome: o,
+            cause_slot,
+        }));
     }
 
     fn apply_ops(&mut self, p: usize, busy: Ns, ops: &[MemOp], san: &[MemOp]) {
         self.charge_busy(p, busy);
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            let _sp = prof::span(Region::Sanitize);
-            for op in san {
-                match op.kind {
-                    OpKind::Read => s.read(p, op.addr, op.bytes),
-                    OpKind::Write => s.write(p, op.addr, op.bytes),
-                    OpKind::Prefetch => {}
-                }
-            }
-        }
+        self.obs.emit(&Event::MemOps {
+            at: self.at(p),
+            ops: san,
+        });
         if ops.is_empty() {
             return;
         }
@@ -513,12 +463,7 @@ impl Engine {
                         let o = self
                             .mem
                             .access_masked(p, addr, kind, self.procs[p].clock, mask);
-                        if !self.profiler.is_empty() {
-                            let _sp = prof::span(Region::Attrib);
-                            self.profiler
-                                .attribute(p, addr, kind, &o, self.procs[p].phase);
-                        }
-                        self.charge_access(p, kind, &o);
+                        self.charge_access(p, addr, kind, &o);
                     }
                     OpKind::Prefetch => {
                         let (issue, _fill) = self.mem.prefetch(p, addr, self.procs[p].clock);
@@ -538,88 +483,45 @@ impl Engine {
         }
     }
 
-    /// Samples the machine-wide gauges if a sampling epoch has elapsed.
-    fn sample_gauges(&mut self, now: Ns) {
-        if let Some(t) = self.tracer.gauge_due(now) {
-            let _sp = prof::span(Region::Trace);
-            let (mut acc, mut miss, mut stall) = (0u64, 0u64, 0);
-            let (mut coh, mut false_share, mut queue) = (0u64, 0u64, 0);
-            for p in &self.procs {
-                acc += p.stats.accesses();
-                miss += p.stats.misses();
-                stall += p.stats.mem_ns;
-                coh += p.stats.misses_coherence;
-                false_share += p.stats.misses_false_share;
-                queue += p.stats.mem_breakdown.queue_total();
-            }
-            let mut totals = gauge_totals(acc, miss, stall, &self.mem.contention.summary());
-            totals.coherence_misses = coh;
-            totals.false_share_misses = false_share;
-            totals.queue_wait_ns = queue;
-            self.tracer.push_gauge(t, totals);
-        }
+    /// Charges `p` an atomic RMW on `addr` now, as synchronization overhead.
+    fn charge_atomic(&mut self, p: usize, addr: Addr) {
+        let cost = self.rmw_cost(p, addr, self.procs[p].clock);
+        self.procs[p].stats.atomics += 1;
+        self.charge_sync_op(p, cost);
     }
 
-    fn process(&mut self, p: usize) -> Result<(), SimError> {
+    fn process(&mut self, p: usize) {
         let req = self.procs[p]
             .pending
             .take()
             .expect("heap entry without pending request");
-        match req {
-            Request::Ops { busy, ops, san } => {
-                self.apply_ops(p, busy, &ops, &san);
+        self.apply_ops(p, req.busy, &req.ops, &req.san);
+        match req.action {
+            Action::Flush => self.reply(p, 0),
+            Action::Phase(name) => {
+                self.procs[p].phase = self.intern_phase(&name);
+                self.obs.emit(&Event::Phase { at: self.at(p) });
                 self.reply(p, 0);
             }
-            Request::Phase {
-                busy,
-                ops,
-                san,
-                name,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
-                let id = self.intern_phase(&name);
-                self.procs[p].phase = id;
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.set_phase(p, id);
-                }
-                let clk = self.procs[p].clock;
-                if let Some(cp) = self.critpath.as_deref_mut() {
-                    cp.set_phase(p, id, clk);
-                }
-                self.reply(p, 0);
-            }
-            Request::Finish { busy, ops, san } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::Finish => {
                 let rt = &mut self.procs[p];
                 rt.stats.finish_ns = rt.clock;
                 rt.done = true;
                 rt.running = false;
                 self.done_count += 1;
             }
-            Request::Lock { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
-                let addr = self.sync.locks[id].addr;
-                let now = self.procs[p].clock;
-                let cost = self.rmw_cost(p, addr, now);
-                self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+            Action::Lock(id) => {
+                self.charge_atomic(p, self.sync.locks[id].addr);
                 let t = self.procs[p].clock;
                 if self.sync.locks[id].acquire_or_enqueue(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.lock_acquire(p, id);
-                    }
+                    self.obs.emit(&Event::LockAcquire { at: self.at(p), id });
                     self.procs[p].stats.lock_acquires += 1;
-                    self.lock_hold_start[id] = t;
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(format!("lock {id}"));
+                    self.procs[p].parked_on = Some(Parked::Lock(id));
                 }
             }
-            Request::Unlock { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.lock_release(p, id);
-                }
+            Action::Unlock(id) => {
                 let addr = self.sync.locks[id].addr;
                 let now = self.procs[p].clock;
                 // Releasing writes the lock word; usually a cache hit for
@@ -632,60 +534,38 @@ impl Engine {
                 };
                 self.charge_sync_op(p, cost);
                 let release_t = self.procs[p].clock;
-                if self.tracer.enabled() {
-                    let held_from = self.lock_hold_start[id];
-                    let (track, ph) = (p, self.procs[p].phase);
-                    self.tracer.span_obj(
-                        track,
-                        ph,
-                        SpanKind::LockHold,
-                        held_from,
-                        release_t.saturating_sub(held_from),
-                        id as u32,
-                    );
-                }
+                self.obs.emit(&Event::LockRelease { at: self.at(p), id });
                 // Grant order is the perturber's lock choice point: with a
                 // schedule set and several waiters queued, a seeded pick
                 // replaces the FIFO (ticket-order) handoff.
-                let granted = match self.sched.as_deref_mut() {
-                    Some(sched) if self.sync.locks[id].queue.len() > 1 => {
-                        let idx = sched.pick_waiter(&self.sync.locks[id].queue);
-                        self.sync.locks[id].release_nth(p, idx)
-                    }
-                    _ => self.sync.locks[id].release(p),
+                let lock = &mut self.sync.locks[id];
+                let idx = match self.sched.as_deref_mut() {
+                    Some(sched) if lock.queue.len() > 1 => sched.pick_waiter(&lock.queue),
+                    _ => 0,
                 };
-                if let Some((w, arrived)) = granted {
+                if let Some((w, arrived)) = lock.release(p, idx) {
                     // The release can complete before the waiter's acquire
                     // attempt has (they overlap in virtual time); the grant
                     // happens at whichever is later.
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.lock_acquire(w, id);
-                    }
-                    let grant_t = release_t.max(arrived);
-                    if grant_t > arrived {
-                        // The waiter was delayed by this release: record the
-                        // release→acquire dependency edge.
-                        if let Some(cp) = self.critpath.as_deref_mut() {
-                            let rel = cp.boundary(p, release_t);
-                            cp.wait(w, arrived, grant_t, WaitKind::Lock, Dep::One(p, rel));
-                        }
-                    }
+                    let grant = release_t.max(arrived);
+                    self.obs.emit(&Event::LockGrant(Grant {
+                        at: self.at(w),
+                        id,
+                        from: p,
+                        release_t,
+                        grant,
+                    }));
                     // Hand off: the new holder pulls the lock line over.
-                    let handoff = self.rmw_cost(w, addr, grant_t);
-                    self.charge_sync_wait(w, arrived, grant_t);
-                    self.procs[w].clock = grant_t;
+                    let handoff = self.rmw_cost(w, addr, grant);
+                    self.charge_sync_wait(w, grant);
                     self.procs[w].stats.lock_acquires += 1;
                     self.charge_sync_op(w, handoff);
-                    self.lock_hold_start[id] = grant_t;
                     self.reply(w, 0);
                 }
                 self.reply(p, 0);
             }
-            Request::Barrier { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.barrier_arrive(p, id);
-                }
+            Action::Barrier(id) => {
+                self.obs.emit(&Event::BarrierArrive { at: self.at(p), id });
                 let addr = self.sync.barriers[id].addr;
                 let now = self.procs[p].clock;
                 let arrive_cost = match self.cfg.barrier_impl {
@@ -700,159 +580,91 @@ impl Engine {
                 };
                 self.charge_sync_op(p, arrive_cost);
                 let t = self.procs[p].clock;
-                if let Some(mut arrivals) = self.sync.barriers[id].arrive(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.barrier_complete(id);
-                    }
-                    let release_t = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t);
-                    let first_t = arrivals.iter().map(|&(_, a)| a).min().unwrap_or(t);
-                    arrivals.sort_unstable();
-                    // The wake sweep below serializes the woken processors'
-                    // wake-up accesses through the memory system, so its
-                    // order is a scheduling choice point: perturb it.
-                    if let Some(sched) = self.sched.as_deref_mut() {
-                        sched.shuffle(&mut arrivals);
-                    }
-                    if let Some(cp) = self.critpath.as_deref_mut() {
-                        // One episode over *all* arrivals (the what-if
-                        // replay re-evaluates which is latest), then a wait
-                        // edge for every processor the release delayed.
-                        let deps: Vec<(usize, u32, Ns)> = arrivals
-                            .iter()
-                            .map(|&(w, a)| (w, cp.boundary(w, a), a))
-                            .collect();
-                        let e = cp.add_episode(deps);
-                        for &(w, arrived) in &arrivals {
-                            if release_t > arrived {
-                                cp.wait(w, arrived, release_t, WaitKind::Barrier, Dep::Episode(e));
-                            }
+                let Some(mut arrivals) = self.sync.barriers[id].arrive(p, t) else {
+                    self.procs[p].parked_on = Some(Parked::Barrier(id));
+                    return;
+                };
+                let release_t = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t);
+                let first_t = arrivals.iter().map(|&(_, a)| a).min().unwrap_or(t);
+                arrivals.sort_unstable();
+                // The wake sweep below serializes the woken processors'
+                // wake-up accesses through the memory system, so its
+                // order is a scheduling choice point: perturb it.
+                if let Some(sched) = self.sched.as_deref_mut() {
+                    sched.shuffle(&mut arrivals);
+                }
+                self.obs.emit(&Event::BarrierRelease {
+                    id,
+                    arrivals: &arrivals,
+                    t: release_t,
+                });
+                for (w, _) in arrivals {
+                    let wake_cost = match self.cfg.barrier_impl {
+                        BarrierImpl::TournamentLlsc => {
+                            Ns::from(self.log2p) * self.cfg.latency.link_ns
                         }
-                    }
-                    for (w, arrived) in arrivals {
-                        let wake_cost = match self.cfg.barrier_impl {
-                            BarrierImpl::TournamentLlsc => {
-                                Ns::from(self.log2p) * self.cfg.latency.link_ns
-                            }
-                            BarrierImpl::CentralLlsc => {
-                                self.mem
-                                    .access(w, addr, AccessKind::Read, release_t)
-                                    .latency
-                            }
-                            BarrierImpl::CentralFetchOp => self.mem.fetchop(w, addr, release_t),
-                        };
-                        self.charge_sync_wait(w, arrived, release_t);
-                        self.procs[w].clock = release_t;
-                        self.procs[w].stats.barriers += 1;
-                        self.charge_sync_op(w, wake_cost);
-                        self.reply(w, 0);
-                    }
-                    if self.tracer.enabled() {
-                        // One whole-machine episode span: first arrival to
-                        // release, on the synthetic machine track.
-                        let machine_track = self.procs.len();
-                        self.tracer.span_obj(
-                            machine_track,
-                            0,
-                            SpanKind::Barrier,
-                            first_t,
-                            release_t.saturating_sub(first_t),
-                            id as u32,
-                        );
-                    }
-                } else {
-                    self.procs[p].parked_on = Some(format!("barrier {id}"));
+                        BarrierImpl::CentralLlsc => {
+                            self.mem
+                                .access(w, addr, AccessKind::Read, release_t)
+                                .latency
+                        }
+                        BarrierImpl::CentralFetchOp => self.mem.fetchop(w, addr, release_t),
+                    };
+                    self.charge_sync_wait(w, release_t);
+                    self.procs[w].stats.barriers += 1;
+                    self.charge_sync_op(w, wake_cost);
+                    self.reply(w, 0);
                 }
+                // After the woken processors' events, so the trace buffer
+                // sees its spans in the same order at any span cap.
+                let (from, to) = (first_t, release_t);
+                self.obs.emit(&Event::BarrierEpisode { id, from, to });
             }
-            Request::FetchAdd {
-                busy,
-                ops,
-                san,
-                id,
-                delta,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.fetch_add(p, id);
-                }
-                let addr = self.sync.cells[id].addr;
-                let now = self.procs[p].clock;
-                let cost = self.rmw_cost(p, addr, now);
-                self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+            Action::FetchAdd(id, delta) => {
+                self.obs.emit(&Event::FetchAdd { at: self.at(p), id });
+                self.charge_atomic(p, self.sync.cells[id].addr);
                 let prev = self.sync.cells[id].value;
                 self.sync.cells[id].value += delta;
                 self.reply(p, prev);
             }
-            Request::SemWait { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
-                let addr = self.sync.sems[id].addr;
-                let now = self.procs[p].clock;
-                let cost = self.rmw_cost(p, addr, now);
-                self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+            Action::SemWait(id) => {
+                self.charge_atomic(p, self.sync.sems[id].addr);
                 let t = self.procs[p].clock;
                 if self.sync.sems[id].wait_or_enqueue(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.sem_acquire(p, id);
-                    }
+                    self.obs.emit(&Event::SemAcquire { at: self.at(p), id });
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(format!("semaphore {id}"));
+                    self.procs[p].parked_on = Some(Parked::Semaphore(id));
                 }
             }
-            Request::SemPost {
-                busy,
-                ops,
-                san,
-                id,
-                n,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.sem_post(p, id);
-                }
+            Action::SemPost(id, n) => {
+                self.obs.emit(&Event::SemPost { at: self.at(p), id });
                 let addr = self.sync.sems[id].addr;
-                let now = self.procs[p].clock;
-                let cost = self.rmw_cost(p, addr, now);
-                self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
-                let t = self.procs[p].clock;
-                let mut post_boundary = None;
+                self.charge_atomic(p, addr);
+                let post_t = self.procs[p].clock;
                 // Wake order is the perturber's semaphore choice point.
+                let sem = &mut self.sync.sems[id];
                 let woken = match self.sched.as_deref_mut() {
-                    Some(sched) => self.sync.sems[id].post_with(n, |q| sched.pick_waiter(q)),
-                    None => self.sync.sems[id].post(n),
+                    Some(sched) => sem.post(n, |q| sched.pick_waiter(q)),
+                    None => sem.post(n, |_| 0),
                 };
                 for (w, arrived) in woken {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.sem_acquire(w, id);
-                    }
-                    let grant_t = t.max(arrived);
-                    if grant_t > arrived {
-                        // This post unblocked `w`: record the post→wait
-                        // dependency edge (one boundary per post).
-                        if let Some(cp) = self.critpath.as_deref_mut() {
-                            let rel = match post_boundary {
-                                Some(r) => r,
-                                None => {
-                                    let r = cp.boundary(p, t);
-                                    post_boundary = Some(r);
-                                    r
-                                }
-                            };
-                            cp.wait(w, arrived, grant_t, WaitKind::Sem, Dep::One(p, rel));
-                        }
-                    }
-                    let wake = self.mem.access(w, addr, AccessKind::Read, grant_t).latency;
-                    self.charge_sync_wait(w, arrived, grant_t);
-                    self.procs[w].clock = grant_t;
+                    let grant = post_t.max(arrived);
+                    self.obs.emit(&Event::SemGrant(Grant {
+                        at: self.at(w),
+                        id,
+                        from: p,
+                        release_t: post_t,
+                        grant,
+                    }));
+                    let wake = self.mem.access(w, addr, AccessKind::Read, grant).latency;
+                    self.charge_sync_wait(w, grant);
                     self.charge_sync_op(w, wake);
                     self.reply(w, 0);
                 }
                 self.reply(p, 0);
             }
-            Request::Panic(_) => unreachable!("handled in accept"),
+            Action::Panic(_) => unreachable!("handled in accept"),
         }
-        Ok(())
     }
 }

@@ -41,6 +41,11 @@
 //!   engine's scheduling choice points ([`schedule`]), turning the
 //!   one-schedule sanitizer into a schedule-space explorer.
 //!
+//! Tracing, range attribution, the sanitizer, the critical path and the
+//! live counters ([`live`]) are *observers*: the engine feeds all of them
+//! through one seam, a single stream of events that they read and never
+//! answer, so none of them can change a simulated result.
+//!
 //! Applications are ordinary Rust closures run on one OS thread per
 //! simulated processor; they compute *real, verifiable results* on data in
 //! [`shared::SharedVec`]s while the engine charges virtual time for
@@ -120,6 +125,7 @@ pub mod topology;
 pub mod trace;
 
 mod engine;
+mod observe;
 mod proto;
 
 /// The types most applications need, in one import.

@@ -19,7 +19,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::attrib::LatencyBreakdown;
+use crate::memsys::{AccessClass, Outcome};
+use crate::observe::Event;
+use crate::prof::{self, Region};
+use crate::time::Ns;
 
 /// Number of classified miss-cause slots mirrored live (matches
 /// [`MissCause::index`](crate::attrib::MissCause::index)).
@@ -121,25 +124,9 @@ pub static LIVE: LiveCounters = LiveCounters {
     accesses: AtomicU64::new(0),
     hits: AtomicU64::new(0),
     misses: AtomicU64::new(0),
-    miss_causes: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    service_ns: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    queue_ns: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
+    miss_causes: [const { AtomicU64::new(0) }; LIVE_CAUSES],
+    service_ns: [const { AtomicU64::new(0) }; LIVE_CLASSES],
+    queue_ns: [const { AtomicU64::new(0) }; LIVE_CLASSES],
     mem_stall_ns: AtomicU64::new(0),
     sim_ns: AtomicU64::new(0),
 };
@@ -165,10 +152,44 @@ pub(crate) struct LiveDelta {
 }
 
 impl LiveDelta {
+    /// The buffer of a run that is starting, counted in
+    /// [`LiveCounters::runs_started`].
+    pub(crate) fn start() -> Self {
+        LIVE.runs_started.fetch_add(1, Ordering::Relaxed);
+        LiveDelta::default()
+    }
+
+    /// Counts an engine event on each tick, flushing every
+    /// [`FLUSH_EVERY`] events, and every serviced access.
+    #[inline]
+    pub(crate) fn on(&mut self, ev: &Event) {
+        match ev {
+            Event::Tick { .. } if self.event() => {
+                {
+                    let _sp = prof::span(Region::LiveFlush);
+                    self.flush();
+                }
+                // Piggyback the profiler's fold-to-global on the same
+                // cadence so live observers see mid-run data.
+                prof::flush_thread();
+            }
+            Event::Access(a) => self.access(a.outcome),
+            _ => {}
+        }
+    }
+
+    /// Flushes what is left of a run that finished at virtual time `wall`
+    /// and counts it in [`LiveCounters::runs_finished`].
+    pub(crate) fn finish(mut self, wall: Ns) {
+        self.flush();
+        LIVE.sim_ns.fetch_add(wall, Ordering::Relaxed);
+        LIVE.runs_finished.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts one processed engine event; returns true when the buffer is
     /// due for a [`flush`](LiveDelta::flush).
     #[inline]
-    pub(crate) fn event(&mut self) -> bool {
+    fn event(&mut self) -> bool {
         self.events += 1;
         self.events_since_flush += 1;
         self.events_since_flush >= FLUSH_EVERY
@@ -176,32 +197,23 @@ impl LiveDelta {
 
     /// Counts one serviced access with its latency breakdown.
     #[inline]
-    pub(crate) fn access(
-        &mut self,
-        hit: bool,
-        miss: bool,
-        cause_slot: Option<usize>,
-        latency: u64,
-        breakdown: &LatencyBreakdown,
-    ) {
+    fn access(&mut self, o: &Outcome) {
         self.accesses += 1;
-        self.hits += u64::from(hit);
-        self.misses += u64::from(miss);
-        if let Some(slot) = cause_slot {
-            if slot < LIVE_CAUSES {
-                self.miss_causes[slot] += 1;
-            }
+        self.hits += u64::from(o.class == AccessClass::Hit);
+        self.misses += u64::from(!matches!(o.class, AccessClass::Hit | AccessClass::Upgrade));
+        if let Some(cause) = o.miss_cause {
+            self.miss_causes[cause.index()] += 1;
         }
-        self.mem_stall_ns += latency;
+        self.mem_stall_ns += o.latency;
         for i in 0..LIVE_CLASSES {
-            self.service_ns[i] += breakdown.service[i];
-            self.queue_ns[i] += breakdown.queue[i];
+            self.service_ns[i] += o.breakdown.service[i];
+            self.queue_ns[i] += o.breakdown.queue[i];
         }
     }
 
     /// Adds everything buffered to the global counters and resets the
     /// buffer.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         let add = |a: &AtomicU64, v: &mut u64| {
             if *v != 0 {
                 a.fetch_add(*v, Ordering::Relaxed);
@@ -227,6 +239,7 @@ impl LiveDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrib::{LatencyBreakdown, MissCause};
 
     #[test]
     fn delta_buffers_then_flushes_exactly() {
@@ -237,13 +250,16 @@ mod tests {
             due |= d.event();
         }
         assert!(!due, "10 events must not hit the {FLUSH_EVERY} threshold");
-        let bd = LatencyBreakdown {
+        let mut miss = Outcome::hit(45);
+        miss.class = AccessClass::RemoteDirty;
+        miss.miss_cause = Some(MissCause::CoherenceTrueShare);
+        miss.breakdown = LatencyBreakdown {
             service: [5, 6, 7, 8],
             queue: [1, 2, 3, 4],
             other_ns: 9,
         };
-        d.access(false, true, Some(3), 45, &bd);
-        d.access(true, false, None, 0, &LatencyBreakdown::default());
+        d.access(&miss);
+        d.access(&Outcome::hit(0));
         d.flush();
         let after = LIVE.snapshot();
         assert_eq!(after.events - before.events, 10);

@@ -64,7 +64,7 @@ pub enum Placement {
     Interleaved,
 }
 
-use crate::proto::EngineGone;
+use crate::proto::{Action, EngineGone};
 
 fn install_quiet_hook() {
     static HOOK: Once = Once::new();
@@ -287,35 +287,6 @@ impl Machine {
                 .collect(),
         };
 
-        let mut profiler = crate::profile::Profiler::default();
-        for (name, base, bytes) in &self.labels {
-            profiler.register(name, *base, *bytes);
-        }
-        let tracer = crate::trace::TraceBuffer::new(
-            cfg.trace.clone(),
-            cfg.nprocs,
-            [
-                mem.contention.hubs.len(),
-                mem.contention.mems.len(),
-                mem.contention.routers.len(),
-            ],
-        );
-        let sanitizer = if cfg.sanitize.enabled {
-            let mut s = crate::sanitize::Sanitizer::new(
-                cfg.nprocs,
-                cfg.sanitize.granularity,
-                cfg.cache.line_bytes as u64,
-            );
-            for (i, &(addr, _)) in self.cells.iter().enumerate() {
-                s.register_fetch_cell(i, addr);
-            }
-            Some(Box::new(s))
-        } else {
-            None
-        };
-        let critpath = cfg
-            .critpath
-            .then(|| Box::new(crate::critpath::CritCollector::new(cfg.nprocs)));
         let (req_tx, req_rx) = channel();
         let mut reply_txs = Vec::with_capacity(cfg.nprocs);
         let body = Arc::new(body);
@@ -323,16 +294,7 @@ impl Machine {
         for p in 0..cfg.nprocs {
             let (rep_tx, rep_rx) = sync_channel(1);
             reply_txs.push(rep_tx);
-            let ctx = Ctx::new(
-                p,
-                cfg.nprocs,
-                cfg.cache.line_bytes as u64,
-                cfg.cost,
-                cfg.prefetch_enabled,
-                cfg.sanitize.enabled,
-                req_tx.clone(),
-                rep_rx,
-            );
+            let ctx = Ctx::new(p, &cfg, req_tx.clone(), rep_rx);
             let body = Arc::clone(&body);
             let handle = std::thread::Builder::new()
                 .name(format!("sim-proc-{p}"))
@@ -340,7 +302,7 @@ impl Machine {
                 .spawn(move || {
                     let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
                     match result {
-                        Ok(()) => ctx.finish(),
+                        Ok(()) => ctx.finish(Action::Finish),
                         Err(e) => {
                             if e.downcast_ref::<EngineGone>().is_some() {
                                 // Engine aborted; exit silently.
@@ -351,7 +313,7 @@ impl Machine {
                                 .map(|s| s.to_string())
                                 .or_else(|| e.downcast_ref::<String>().cloned())
                                 .unwrap_or_else(|| "unknown panic".into());
-                            ctx.report_panic(format!("proc {p}: {msg}"));
+                            ctx.finish(Action::Panic(format!("proc {p}: {msg}")));
                         }
                     }
                 })
@@ -360,17 +322,7 @@ impl Machine {
         }
         drop(req_tx);
 
-        let engine = Engine::new(
-            cfg,
-            mem,
-            sync,
-            reply_txs.clone(),
-            req_rx,
-            profiler,
-            tracer,
-            sanitizer,
-            critpath,
-        );
+        let engine = Engine::new(cfg, mem, sync, &self.labels, reply_txs.clone(), req_rx);
         let result = engine.run();
         // Unblock any still-parked threads so join cannot hang: dropping
         // the reply senders makes their next receive fail, unwinding them

@@ -20,7 +20,9 @@
 use std::collections::HashMap;
 
 use crate::memsys::{AccessClass, AccessKind, Outcome};
+use crate::observe::Event;
 use crate::page::Addr;
+use crate::prof::{self, Region};
 use crate::time::Ns;
 
 /// Name of the implicit catch-all profile for accesses outside every
@@ -190,8 +192,12 @@ fn hot_lines(agg: HashMap<u64, LineAgg>) -> Vec<HotLine> {
 }
 
 impl Profiler {
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+    /// Attributes each access event to its range.
+    pub(crate) fn on(&mut self, ev: &Event) {
+        if let Event::Access(a) = ev {
+            let _sp = prof::span(Region::Attrib);
+            self.attribute(a.at.p, a.addr, a.kind, a.outcome, a.at.phase);
+        }
     }
 
     /// Registers `[base, base + bytes)` under `name`. Ranges come from the

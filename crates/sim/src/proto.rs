@@ -24,84 +24,50 @@ pub(crate) struct MemOp {
     pub kind: OpKind,
 }
 
-/// A request from an application thread to the engine. Every variant
-/// carries the busy time accumulated since the previous request, the
-/// buffered memory operations to apply first, and — when the sanitizer
-/// is enabled — the exact (uncoalesced) byte footprints of those
-/// operations in `san`, so race detection never sees the covering
-/// merges the timing stream makes (empty when sanitizing is off).
+/// A request from an application thread to the engine: the busy time
+/// accumulated since the previous request and the buffered memory
+/// operations, both applied first, then the `action`. When the sanitizer
+/// is enabled, `san` holds the exact (uncoalesced) byte footprints of
+/// `ops`, so race detection never sees the covering merges the timing
+/// stream makes (empty when sanitizing is off).
 #[derive(Debug)]
-pub(crate) enum Request {
-    /// Flush buffered work only.
-    Ops {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-    },
-    /// Arrive at a barrier.
-    Barrier {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+pub(crate) struct Request {
+    pub busy: Ns,
+    pub ops: Vec<MemOp>,
+    pub san: Vec<MemOp>,
+    pub action: Action,
+}
+
+/// What a [`Request`] asks of the engine once its buffered work is
+/// applied. Ids index the run's lock, barrier, fetch-cell and semaphore
+/// tables.
+#[derive(Debug)]
+pub(crate) enum Action {
+    /// Nothing more: the request only flushes buffered work.
+    Flush,
+    /// Start the named application phase; the buffered work is charged
+    /// to the previous phase.
+    Phase(String),
     /// Acquire a lock (blocks until granted).
-    Lock {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    Lock(usize),
     /// Release a lock.
-    Unlock {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
-    /// Atomic fetch-and-add on a fetch cell; the reply carries the prior value.
-    FetchAdd {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-        delta: i64,
-    },
+    Unlock(usize),
+    /// Arrive at a barrier.
+    Barrier(usize),
+    /// Atomically add to a fetch cell; the reply carries the prior value.
+    FetchAdd(usize, i64),
     /// Decrement a semaphore, blocking while it is zero.
-    SemWait {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    SemWait(usize),
     /// Increment a semaphore by `n`, waking blocked waiters.
-    SemPost {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-        n: u32,
-    },
-    /// Marks the start of a named application phase for this processor;
-    /// buffered work is charged to the previous phase first.
-    Phase {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        name: String,
-    },
+    SemPost(usize, u32),
     /// The application body returned.
-    Finish {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-    },
+    Finish,
     /// The application body panicked; the engine aborts the run.
     Panic(String),
 }
 
 /// Engine reply unblocking a thread. `value` is meaningful only for
-/// [`Request::FetchAdd`].
+/// [`Action::FetchAdd`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Reply {
     pub value: i64,

@@ -44,7 +44,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use crate::observe::Event;
 use crate::page::Addr;
+use crate::prof::{self, Region};
+use crate::proto::OpKind;
 
 /// Shadow-memory granule size for race detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -411,6 +414,30 @@ impl Sanitizer {
             raw_races: Vec::new(),
             lock_edges: BTreeSet::new(),
             lints: Vec::new(),
+        }
+    }
+
+    /// Feeds the engine's memory footprints and synchronization events
+    /// into the analyses.
+    pub(crate) fn on(&mut self, ev: &Event) {
+        match *ev {
+            Event::MemOps { at, ops } => {
+                let _sp = prof::span(Region::Sanitize);
+                for op in ops.iter().filter(|op| op.kind != OpKind::Prefetch) {
+                    self.access(at.p, op.addr, op.bytes, op.kind == OpKind::Write);
+                }
+            }
+            Event::Phase { at } => self.set_phase(at.p, at.phase),
+            Event::LockAcquire { at, id } => self.lock_acquire(at.p, id),
+            Event::LockGrant(g) => self.lock_acquire(g.at.p, g.id),
+            Event::LockRelease { at, id } => self.lock_release(at.p, id),
+            Event::BarrierArrive { at, id } => self.barrier_arrive(at.p, id),
+            Event::BarrierRelease { id, .. } => self.barrier_complete(id),
+            Event::FetchAdd { at, id } => self.fetch_add(at.p, id),
+            Event::SemPost { at, id } => self.sem_post(at.p, id),
+            Event::SemAcquire { at, id } => self.sem_acquire(at.p, id),
+            Event::SemGrant(g) => self.sem_acquire(g.at.p, g.id),
+            _ => {}
         }
     }
 

@@ -24,8 +24,8 @@
 //! engine's deterministic event-processing order, from a hand-rolled
 //! [`SplitMix64`] stream — so a given `(program, config, seed)` replays
 //! bit-identically, on any host, at any `--jobs` count. With
-//! `cfg.schedule` unset the engine takes its original code paths and is
-//! byte-identical to an unperturbed build (pinned by test).
+//! `cfg.schedule` unset every choice point takes its default column, so
+//! the engine is byte-identical to an unperturbed build (pinned by test).
 //!
 //! [`ScheduleMode::Pct`] adds PCT-style priority scheduling: each
 //! processor gets a seeded priority, choice points prefer the

@@ -63,36 +63,16 @@ impl LockState {
         }
     }
 
-    /// Releases the lock, returning the next waiter (who becomes holder).
+    /// Releases the lock, granting it to the waiter at queue index `idx`
+    /// (who becomes holder), if any is queued: `0` is the FIFO
+    /// (ticket-order) head; the schedule perturber picks others
+    /// ([`crate::schedule`]).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not the holder (an application bug worth failing
-    /// loudly on).
-    pub fn release(&mut self, p: usize) -> Option<(usize, Ns)> {
-        assert_eq!(self.holder, Some(p), "unlock by non-holder {p}");
-        match self.queue.pop_front() {
-            Some((next, arrived)) => {
-                self.holder = Some(next);
-                self.acquires += 1;
-                Some((next, arrived))
-            }
-            None => {
-                self.holder = None;
-                None
-            }
-        }
-    }
-
-    /// Releases the lock granting the waiter at queue index `idx` instead
-    /// of the FIFO head — the schedule perturber's grant-order choice
-    /// point ([`crate::schedule`]). Semantically equivalent to
-    /// [`LockState::release`] for `idx == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not the holder or `idx` is out of range.
-    pub fn release_nth(&mut self, p: usize, idx: usize) -> Option<(usize, Ns)> {
+    /// loudly on) or `idx` is out of range.
+    pub fn release(&mut self, p: usize, idx: usize) -> Option<(usize, Ns)> {
         assert_eq!(self.holder, Some(p), "unlock by non-holder {p}");
         match self.queue.remove(idx) {
             Some((next, arrived)) => {
@@ -173,27 +153,11 @@ impl SemState {
         }
     }
 
-    /// Adds `n` permits, returning the waiters that can now proceed.
-    pub fn post(&mut self, n: u32) -> Vec<(usize, Ns)> {
-        self.count += i64::from(n);
-        let mut woken = Vec::new();
-        while self.count > 0 {
-            match self.waiters.pop_front() {
-                Some(w) => {
-                    self.count -= 1;
-                    woken.push(w);
-                }
-                None => break,
-            }
-        }
-        woken
-    }
-
-    /// Adds `n` permits, waking waiters chosen by `choose` (an index into
-    /// the current queue) instead of FIFO order — the schedule
-    /// perturber's semaphore choice point ([`crate::schedule`]).
-    /// `choose = |_| 0` is equivalent to [`SemState::post`].
-    pub fn post_with(
+    /// Adds `n` permits, returning the waiters that can now proceed, each
+    /// chosen by `choose` (an index into the current queue): `|_| 0` wakes
+    /// in FIFO order; the schedule perturber picks others
+    /// ([`crate::schedule`]).
+    pub fn post(
         &mut self,
         n: u32,
         mut choose: impl FnMut(&VecDeque<(usize, Ns)>) -> usize,
@@ -220,9 +184,10 @@ mod tests {
         assert!(l.acquire_or_enqueue(0, 10));
         assert!(!l.acquire_or_enqueue(1, 20));
         assert!(!l.acquire_or_enqueue(2, 30));
-        assert_eq!(l.release(0), Some((1, 20)));
-        assert_eq!(l.release(1), Some((2, 30)));
-        assert_eq!(l.release(2), None);
+        assert_eq!(l.release(0, 0), Some((1, 20)));
+        assert_eq!(l.queue.len(), 1);
+        assert_eq!(l.release(1, 0), Some((2, 30)));
+        assert_eq!(l.release(2, 0), None);
         assert_eq!(l.acquires, 3);
         assert_eq!(l.holder, None);
     }
@@ -232,7 +197,7 @@ mod tests {
     fn unlock_by_non_holder_panics() {
         let mut l = LockState::new(0);
         l.acquire_or_enqueue(0, 0);
-        l.release(1);
+        l.release(1, 0);
     }
 
     #[test]
@@ -248,33 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn lock_release_nth_grants_out_of_order() {
+    fn lock_release_grants_chosen_waiter() {
         let mut l = LockState::new(0);
         assert!(l.acquire_or_enqueue(0, 10));
         assert!(!l.acquire_or_enqueue(1, 20));
         assert!(!l.acquire_or_enqueue(2, 30));
         // Grant the *second* waiter first; the skipped one stays queued.
-        assert_eq!(l.release_nth(0, 1), Some((2, 30)));
+        assert_eq!(l.release(0, 1), Some((2, 30)));
         assert_eq!(l.queue.len(), 1);
-        assert_eq!(l.release_nth(2, 0), Some((1, 20)));
-        assert_eq!(l.release_nth(1, 0), None);
+        assert_eq!(l.release(2, 0), Some((1, 20)));
+        assert_eq!(l.release(1, 0), None);
         assert_eq!(l.acquires, 3);
         assert_eq!(l.holder, None);
-    }
-
-    #[test]
-    fn lock_release_nth_index_zero_matches_release() {
-        let mk = || {
-            let mut l = LockState::new(0);
-            l.acquire_or_enqueue(0, 1);
-            l.acquire_or_enqueue(1, 2);
-            l.acquire_or_enqueue(2, 3);
-            l
-        };
-        let (mut a, mut b) = (mk(), mk());
-        assert_eq!(a.release(0), b.release_nth(0, 0));
-        assert_eq!(a.queue, b.queue);
-        assert_eq!(a.holder, b.holder);
     }
 
     #[test]
@@ -283,27 +233,23 @@ mod tests {
         assert!(s.wait_or_enqueue(0, 1));
         assert!(!s.wait_or_enqueue(1, 2));
         assert!(!s.wait_or_enqueue(2, 3));
-        assert_eq!(s.post(2), vec![(1, 2), (2, 3)]);
+        assert_eq!(s.post(2, |_| 0), vec![(1, 2), (2, 3)]);
         assert_eq!(s.count, 0);
-        assert_eq!(s.post(1), vec![]);
+        // Permits beyond the queue accumulate.
+        assert_eq!(s.post(1, |_| 0), vec![]);
         assert_eq!(s.count, 1);
     }
 
     #[test]
-    fn semaphore_post_with_wakes_chosen_waiters() {
+    fn semaphore_post_wakes_chosen_waiters() {
         let mut s = SemState::new(0, 0);
         assert!(!s.wait_or_enqueue(0, 1));
         assert!(!s.wait_or_enqueue(1, 2));
         assert!(!s.wait_or_enqueue(2, 3));
         // Wake back-of-queue first, then the (new) back again.
-        let woken = s.post_with(2, |q| q.len() - 1);
+        let woken = s.post(2, |q| q.len() - 1);
         assert_eq!(woken, vec![(2, 3), (1, 2)]);
         assert_eq!(s.count, 0);
         assert_eq!(s.waiters.len(), 1);
-        // The head-index chooser behaves exactly like `post`.
-        assert_eq!(s.post_with(1, |_| 0), vec![(0, 1)]);
-        // Permits beyond the queue accumulate, as with `post`.
-        assert_eq!(s.post_with(2, |_| 0), vec![]);
-        assert_eq!(s.count, 2);
     }
 }

@@ -19,14 +19,18 @@
 //! The result is a [`Trace`], exportable as Chrome trace-event JSON
 //! (loadable in Perfetto or `chrome://tracing`).
 
+use crate::attrib::MissCause;
 use crate::chrome::{json_str, us, ChromeDoc};
-use crate::contend::ResourceTotals;
+use crate::contend::Contention;
+use crate::memsys::{AccessClass, Outcome};
+use crate::observe::{At, Event};
+use crate::prof::{self, Region};
 use crate::time::Ns;
 
 /// Tracing knobs, carried on [`MachineConfig`](crate::config::MachineConfig).
 ///
 /// Tracing is off by default and adds near-zero overhead when disabled:
-/// every record call checks a single flag first.
+/// the engine then builds no trace buffer at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch.
@@ -195,8 +199,8 @@ pub struct GaugeSample {
     pub queue_pct: f64,
 }
 
-/// Cumulative machine counters handed to the buffer at each sample point;
-/// the buffer differentiates them into per-interval rates.
+/// Cumulative machine counters at a sample point; the buffer
+/// differentiates them into per-interval rates.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct GaugeTotals {
     pub accesses: u64,
@@ -216,7 +220,7 @@ const DEFAULT_EPOCH_NS: Ns = 4096;
 /// Initial merge gap once compaction starts (then grows 4× per pass).
 const FIRST_MERGE_GAP: Ns = 1024;
 
-/// The engine-side bounded recording buffer.
+/// The bounded recording buffer, fed by the engine's observer events.
 pub(crate) struct TraceBuffer {
     cfg: TraceConfig,
     /// Per-track open span awaiting a possible merge; index `nprocs` is
@@ -233,13 +237,25 @@ pub(crate) struct TraceBuffer {
     next_sample: Ns,
     last_t: Ns,
     last: GaugeTotals,
+    /// Access counters accumulated since the run started (the resource
+    /// busy times are read at each sample instead).
+    now: GaugeTotals,
     /// Instance counts of hubs, memories, routers (occupancy denominators).
     counts: [u64; 3],
+    /// Virtual time each lock was last acquired, for lock-hold spans.
+    held_since: Vec<Ns>,
 }
 
 impl TraceBuffer {
-    pub(crate) fn new(cfg: TraceConfig, nprocs: usize, counts: [usize; 3]) -> Self {
-        let tracks = if cfg.enabled { nprocs + 1 } else { 0 };
+    /// A buffer for `nprocs` processors and `nlocks` locks on a machine
+    /// with `contention`'s hubs, memories and routers.
+    pub(crate) fn new(
+        cfg: TraceConfig,
+        nprocs: usize,
+        nlocks: usize,
+        contention: &Contention,
+    ) -> Self {
+        let tracks = nprocs + 1;
         let epoch = if cfg.gauge_epoch_ns == 0 {
             DEFAULT_EPOCH_NS
         } else {
@@ -258,32 +274,79 @@ impl TraceBuffer {
             next_sample: epoch,
             last_t: 0,
             last: GaugeTotals::default(),
-            counts: [counts[0] as u64, counts[1] as u64, counts[2] as u64],
+            now: GaugeTotals::default(),
+            counts: [&contention.hubs, &contention.mems, &contention.routers]
+                .map(|r| r.len() as u64),
+            held_since: vec![0; nlocks],
             cfg,
         }
     }
 
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
+    /// Records the spans, instants and gauges `ev` implies.
+    pub(crate) fn on(&mut self, ev: &Event) {
+        match *ev {
+            Event::Busy { at, ns } => self.span(at.p, at.phase, SpanKind::Busy, at.t, ns, 0),
+            Event::SyncOp { at, ns } => self.span(at.p, at.phase, SpanKind::SyncOp, at.t, ns, 0),
+            Event::SyncWait { at, ns } => {
+                self.span(at.p, at.phase, SpanKind::SyncWait, at.t, ns, 0)
+            }
+            Event::Access(a) => self.access(a.at, a.outcome),
+            Event::LockAcquire { at, id } => self.held_since[id] = at.t,
+            Event::LockGrant(g) => self.held_since[g.id] = g.grant,
+            Event::LockRelease { at, id } => {
+                let from = self.held_since[id];
+                let dur = at.t.saturating_sub(from);
+                self.span(at.p, at.phase, SpanKind::LockHold, from, dur, id as u32);
+            }
+            Event::BarrierEpisode { id, from, to } => {
+                let machine = self.open.len() - 1;
+                let dur = to.saturating_sub(from);
+                self.span(machine, 0, SpanKind::Barrier, from, dur, id as u32);
+            }
+            Event::Tick { t, contention } => {
+                if let Some(at) = self.gauge_due(t) {
+                    let _sp = prof::span(Region::Trace);
+                    let r = contention.summary();
+                    let mut totals = self.now;
+                    totals.busy_ns = [r[0].busy_ns, r[1].busy_ns, r[2].busy_ns];
+                    self.push_gauge(at, totals);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// One access: its memory span, any instants, and the gauge counters.
+    fn access(&mut self, at: At, o: &Outcome) {
+        let kind = if o.home_local {
+            SpanKind::MemLocal
+        } else {
+            SpanKind::MemRemote
+        };
+        self.span(at.p, at.phase, kind, at.t, o.latency, 0);
+        if o.migrated {
+            self.instant(at.p, at.t, InstantKind::PageMigration, 0);
+        }
+        if o.invals >= 2 {
+            self.instant(at.p, at.t, InstantKind::InvalBurst, o.invals);
+        }
+        if o.late_prefetch {
+            self.instant(at.p, at.t, InstantKind::LatePrefetch, 0);
+        }
+        let g = &mut self.now;
+        g.accesses += 1;
+        g.misses += u64::from(!matches!(o.class, AccessClass::Hit | AccessClass::Upgrade));
+        g.mem_stall_ns += o.latency;
+        g.coherence_misses += u64::from(o.miss_cause.is_some_and(MissCause::is_coherence));
+        g.false_share_misses += u64::from(o.miss_cause == Some(MissCause::CoherenceFalseShare));
+        g.queue_wait_ns += o.breakdown.queue_total();
     }
 
     /// Records an interval on a processor track (or the machine track,
-    /// index `nprocs`). Zero-duration intervals are dropped.
-    pub(crate) fn span(&mut self, track: usize, phase: u32, kind: SpanKind, start: Ns, dur: Ns) {
-        self.span_obj(track, phase, kind, start, dur, 0);
-    }
-
-    pub(crate) fn span_obj(
-        &mut self,
-        track: usize,
-        phase: u32,
-        kind: SpanKind,
-        start: Ns,
-        dur: Ns,
-        obj: u32,
-    ) {
-        if !self.cfg.enabled || dur == 0 {
+    /// index `nprocs`) for object `obj` (`0` if none). Zero-duration
+    /// intervals are dropped.
+    fn span(&mut self, track: usize, phase: u32, kind: SpanKind, start: Ns, dur: Ns, obj: u32) {
+        if dur == 0 {
             return;
         }
         let end = start + dur;
@@ -360,10 +423,7 @@ impl TraceBuffer {
         self.since_compact = 0;
     }
 
-    pub(crate) fn instant(&mut self, proc: usize, t: Ns, kind: InstantKind, value: u32) {
-        if !self.cfg.enabled {
-            return;
-        }
+    fn instant(&mut self, proc: usize, t: Ns, kind: InstantKind, value: u32) {
         if self.instants.len() >= self.cfg.max_instants {
             self.dropped_instants += 1;
         } else {
@@ -377,10 +437,10 @@ impl TraceBuffer {
     }
 
     /// Returns the gauge sample point due at or before `now`, if any.
-    /// The engine calls this with the (nondecreasing) virtual time of each
-    /// processed event and gathers [`GaugeTotals`] only when a sample is due.
-    pub(crate) fn gauge_due(&self, now: Ns) -> Option<Ns> {
-        if !self.cfg.enabled || now < self.next_sample {
+    /// Called with the (nondecreasing) virtual time of each tick; the
+    /// resource totals are gathered only when a sample is due.
+    fn gauge_due(&self, now: Ns) -> Option<Ns> {
+        if now < self.next_sample {
             return None;
         }
         // Largest epoch boundary ≤ now; one sample summarizes the whole
@@ -391,7 +451,7 @@ impl TraceBuffer {
 
     /// Pushes a gauge sample at boundary `t` (from [`Self::gauge_due`]),
     /// differentiating the cumulative `totals` against the previous sample.
-    pub(crate) fn push_gauge(&mut self, t: Ns, totals: GaugeTotals) {
+    fn push_gauge(&mut self, t: Ns, totals: GaugeTotals) {
         let dt = t.saturating_sub(self.last_t);
         if dt == 0 {
             return;
@@ -468,23 +528,20 @@ impl TraceBuffer {
         self.gauges = out;
     }
 
-    /// Closes open spans and yields the finished trace (if enabled).
-    pub(crate) fn finish(mut self, phase_names: Vec<String>) -> Option<Trace> {
-        if !self.cfg.enabled {
-            return None;
-        }
+    /// Closes open spans and yields the finished trace.
+    pub(crate) fn finish(mut self, phase_names: Vec<String>) -> Trace {
         for (track, open) in self.open.iter_mut().enumerate() {
             if let Some(s) = open.take() {
                 self.spans[track].push(s);
             }
         }
-        Some(Trace {
+        Trace {
             phase_names,
             spans: self.spans,
             instants: self.instants,
             gauges: self.gauges,
             dropped_instants: self.dropped_instants,
-        })
+        }
     }
 }
 
@@ -664,26 +721,6 @@ pub fn chrome_trace_file(traces: &[(String, &Trace)]) -> String {
     doc.finish()
 }
 
-/// Shape of the per-resource cumulative busy totals the engine samples.
-pub(crate) fn gauge_totals(
-    accesses: u64,
-    misses: u64,
-    mem_stall_ns: Ns,
-    resources: &[ResourceTotals; 4],
-) -> GaugeTotals {
-    GaugeTotals {
-        accesses,
-        misses,
-        mem_stall_ns,
-        busy_ns: [
-            resources[0].busy_ns,
-            resources[1].busy_ns,
-            resources[2].busy_ns,
-        ],
-        ..GaugeTotals::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,16 +731,7 @@ mod tests {
             max_spans,
             ..Default::default()
         };
-        TraceBuffer::new(cfg, 2, [2, 2, 2])
-    }
-
-    #[test]
-    fn disabled_buffer_records_nothing() {
-        let mut b = TraceBuffer::new(TraceConfig::default(), 2, [1, 1, 1]);
-        b.span(0, 0, SpanKind::Busy, 0, 100);
-        b.instant(0, 0, InstantKind::PageMigration, 0);
-        assert!(b.gauge_due(1 << 40).is_none());
-        assert!(b.finish(vec!["main".into()]).is_none());
+        TraceBuffer::new(cfg, 2, 0, &Contention::new(2, 2, 1))
     }
 
     #[test]
@@ -711,11 +739,11 @@ mod tests {
         let mut b = buf(1 << 18);
         // Two immediately adjacent busy spans merge; the mem span between
         // different kinds never merges.
-        b.span(0, 0, SpanKind::Busy, 0, 50);
-        b.span(0, 0, SpanKind::Busy, 50, 30);
-        b.span(0, 0, SpanKind::MemLocal, 80, 20);
-        b.span(0, 0, SpanKind::Busy, 100, 10);
-        let t = b.finish(vec!["main".into()]).unwrap();
+        b.span(0, 0, SpanKind::Busy, 0, 50, 0);
+        b.span(0, 0, SpanKind::Busy, 50, 30, 0);
+        b.span(0, 0, SpanKind::MemLocal, 80, 20, 0);
+        b.span(0, 0, SpanKind::Busy, 100, 10, 0);
+        let t = b.finish(vec!["main".into()]);
         assert_eq!(t.spans[0].len(), 3);
         assert_eq!(
             t.spans[0][0],
@@ -735,9 +763,9 @@ mod tests {
     #[test]
     fn phase_change_breaks_merging() {
         let mut b = buf(1 << 18);
-        b.span(0, 0, SpanKind::Busy, 0, 50);
-        b.span(0, 1, SpanKind::Busy, 50, 30);
-        let t = b.finish(vec!["main".into(), "solve".into()]).unwrap();
+        b.span(0, 0, SpanKind::Busy, 0, 50, 0);
+        b.span(0, 1, SpanKind::Busy, 50, 30, 0);
+        let t = b.finish(vec!["main".into(), "solve".into()]);
         assert_eq!(t.spans[0].len(), 2);
         let totals = t.phase_totals();
         assert_eq!(totals[0], ("main".into(), [50, 0, 0]));
@@ -756,10 +784,10 @@ mod tests {
             } else {
                 SpanKind::MemRemote
             };
-            b.span(0, 0, kind, t, 10);
+            b.span(0, 0, kind, t, 10, 0);
             t += 100_000;
         }
-        let tr = b.finish(vec!["main".into()]).unwrap();
+        let tr = b.finish(vec!["main".into()]);
         assert!(tr.spans[0].len() <= 64 + 16, "got {}", tr.spans[0].len());
         assert_eq!(tr.category_total(0, "busy"), 5_000 * 10);
         assert_eq!(tr.category_total(0, "mem"), 5_000 * 10);
@@ -772,11 +800,11 @@ mod tests {
             max_instants: 4,
             ..Default::default()
         };
-        let mut b = TraceBuffer::new(cfg, 1, [1, 1, 1]);
+        let mut b = TraceBuffer::new(cfg, 1, 0, &Contention::new(1, 1, 1));
         for i in 0..10 {
             b.instant(0, i, InstantKind::LatePrefetch, 0);
         }
-        let t = b.finish(vec!["main".into()]).unwrap();
+        let t = b.finish(vec!["main".into()]);
         assert_eq!(t.instants.len(), 4);
         assert_eq!(t.dropped_instants, 6);
     }
@@ -789,7 +817,7 @@ mod tests {
             gauge_epoch_ns: 100,
             ..Default::default()
         };
-        let mut b = TraceBuffer::new(cfg, 1, [1, 1, 1]);
+        let mut b = TraceBuffer::new(cfg, 1, 0, &Contention::new(1, 1, 1));
         let mut totals = GaugeTotals::default();
         for step in 1..=32u64 {
             let now = step * 100;
@@ -800,7 +828,7 @@ mod tests {
                 b.push_gauge(t, totals);
             }
         }
-        let t = b.finish(vec!["main".into()]).unwrap();
+        let t = b.finish(vec!["main".into()]);
         assert!(t.gauges.len() <= 8);
         // Miss rate is 20% in every interval; averaging preserves it.
         for g in &t.gauges {
@@ -814,11 +842,11 @@ mod tests {
     #[test]
     fn chrome_json_is_structurally_sound() {
         let mut b = buf(1 << 10);
-        b.span(0, 0, SpanKind::Busy, 0, 1500);
-        b.span(1, 0, SpanKind::MemRemote, 1500, 333);
-        b.span_obj(2, 0, SpanKind::Barrier, 0, 2000, 7);
+        b.span(0, 0, SpanKind::Busy, 0, 1500, 0);
+        b.span(1, 0, SpanKind::MemRemote, 1500, 333, 0);
+        b.span(2, 0, SpanKind::Barrier, 0, 2000, 7);
         b.instant(1, 200, InstantKind::InvalBurst, 3);
-        let t = b.finish(vec!["ph\"ase\n".into()]).unwrap();
+        let t = b.finish(vec!["ph\"ase\n".into()]);
         let json = t.to_chrome_json("test run");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with('}'));
@@ -849,15 +877,5 @@ mod tests {
         }
         assert_eq!(depth, 0);
         assert!(!in_str);
-    }
-
-    #[test]
-    fn us_formats_exact_and_fractional() {
-        // `us` lives in the shared chrome module now; this pins the
-        // re-exported behavior the trace emitter depends on.
-        assert_eq!(us(0), "0");
-        assert_eq!(us(2000), "2");
-        assert_eq!(us(2050), "2.050");
-        assert_eq!(us(7), "0.007");
     }
 }

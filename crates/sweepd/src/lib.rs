@@ -29,12 +29,11 @@
 //!   appended, the backlog is dropped (clients see incomplete jobs),
 //!   the store is fsynced. An idle timeout can do the same unattended.
 //!
-//! The pieces: [`http`] (request parsing and responses), [`jobs`] (job
-//! state and its JSON), [`server`] (the daemon), [`client`] (a blocking
-//! client used by `bench submit` and the tests).
+//! The pieces: [`jobs`] (job state and its JSON), [`server`] (the
+//! daemon, on `ccnuma_telemetry::http`), [`client`] (a blocking client
+//! used by `bench submit` and the tests).
 
 pub mod client;
-pub mod http;
 pub mod jobs;
 pub mod server;
 

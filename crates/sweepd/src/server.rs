@@ -30,10 +30,9 @@ use ccnuma_sweep::matrix::{CellSpec, MatrixSpec};
 use ccnuma_sweep::pool::TaskQueue;
 use ccnuma_sweep::run::{Executor, RunOptions};
 use ccnuma_sweep::store::{Store, StoreStats};
-use ccnuma_telemetry::expo;
 use ccnuma_telemetry::registry::{Counter, Gauge, Registry};
+use ccnuma_telemetry::{expo, http};
 
-use crate::http;
 use crate::jobs::Job;
 
 /// How the daemon listens and executes.
@@ -384,9 +383,7 @@ impl Shared {
     /// poll a daemon exactly like a telemetry hub.
     fn epoch_record(&self) -> String {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let t_ms = self.started.elapsed().as_millis() as u64;
-        let metrics = expo::json(&self.registry.snapshot());
-        format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
+        expo::epoch_record(seq, self.started, &self.registry)
     }
 
     /// Flips the daemon into shutdown: stop accepting, wake the accept
@@ -570,13 +567,8 @@ fn serve(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    let req = match http::read_request(&mut reader) {
+fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let req = match http::read_request(&mut BufReader::new(&stream)) {
         Ok(req) => req,
         Err(e) => {
             shared.core.metrics.bad_requests.inc();
@@ -590,13 +582,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         ("GET", "/healthz") => http::respond(&mut stream, "200 OK", "text/plain", "ok\n"),
         ("GET", "/metrics") => {
             shared.refresh_gauges();
-            let body = expo::prometheus(&shared.registry.snapshot());
-            http::respond(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
+            http::respond_metrics(&mut stream, &shared.registry);
         }
         ("GET", "/snapshot") => {
             shared.refresh_gauges();
@@ -690,8 +676,7 @@ fn serve_job_events(mut stream: TcpStream, shared: &Arc<Shared>, id: u64) {
         http::respond_error(&mut stream, "404 Not Found", "no such job");
         return;
     }
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
+    if stream.write_all(http::SSE_HEAD.as_bytes()).is_err() {
         return;
     }
     match sub {

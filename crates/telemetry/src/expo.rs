@@ -1,7 +1,9 @@
 //! Rendering a registry snapshot: Prometheus text exposition format and
 //! a flat JSON object.
 
-use crate::registry::{SampleRow, SampleValue, HIST_BUCKETS};
+use std::time::Instant;
+
+use crate::registry::{Registry, SampleRow, SampleValue, HIST_BUCKETS};
 
 /// Escapes a HELP text: backslash and newline.
 fn esc_help(s: &str) -> String {
@@ -142,6 +144,15 @@ pub fn series_key(name: &str, labels: &[(String, String)]) -> String {
         let parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("{}{{{}}}", name, parts.join(","))
     }
+}
+
+/// One epoch record, `{"seq":N,"t_ms":T,"metrics":{...}}`: a fresh
+/// [`json`] snapshot of `registry`, stamped `T` ms after `started`. The
+/// hub and the sweep daemon both serve it at `/snapshot`.
+pub fn epoch_record(seq: u64, started: Instant, registry: &Registry) -> String {
+    let t_ms = started.elapsed().as_millis() as u64;
+    let metrics = json(&registry.snapshot());
+    format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
 }
 
 /// Renders a snapshot as one flat JSON object: `"name{k=v}" -> number`.

@@ -14,7 +14,7 @@
 //! with the same single-flushed-write discipline as the sweep store so a
 //! crash can tear at most the final line.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::expo;
 use crate::registry::Registry;
+use crate::{expo, http};
 
 /// How the hub observes and publishes.
 #[derive(Debug, Clone, Default)]
@@ -49,9 +49,7 @@ struct Shared {
 impl Shared {
     /// One epoch record from a fresh registry snapshot.
     fn epoch_record(&self, seq: u64) -> String {
-        let t_ms = self.started.elapsed().as_millis() as u64;
-        let metrics = expo::json(&self.registry.snapshot());
-        format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
+        expo::epoch_record(seq, self.started, &self.registry)
     }
 
     /// Sends one pre-formatted SSE frame to every subscriber, dropping
@@ -77,7 +75,7 @@ impl HubHandle {
     /// Publishes one application event: `data` must be a complete JSON
     /// value; it is framed as an SSE event of the given `kind`.
     pub fn publish(&self, kind: &str, data: &str) {
-        self.0.broadcast(&sse_frame(kind, data));
+        self.0.broadcast(&http::sse_frame(kind, data));
     }
 }
 
@@ -94,11 +92,6 @@ impl std::fmt::Debug for Hub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Hub(addr: {:?})", self.addr)
     }
-}
-
-/// Formats one SSE frame.
-fn sse_frame(kind: &str, data: &str) -> String {
-    format!("event: {kind}\ndata: {data}\n\n")
 }
 
 impl Hub {
@@ -167,11 +160,11 @@ impl Hub {
                             let _ = f.write_all(line.as_bytes());
                             let _ = f.flush();
                         }
-                        sh.broadcast(&sse_frame("epoch", &rec));
+                        sh.broadcast(&http::sse_frame("epoch", &rec));
                         if stopping {
                             // Final sample taken; announce the end and
                             // release every subscriber.
-                            sh.broadcast(&sse_frame("end", "{}"));
+                            sh.broadcast(&http::sse_frame("end", "{}"));
                             sh.subscribers
                                 .lock()
                                 .expect("subscriber lock poisoned")
@@ -233,44 +226,29 @@ fn serve(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Parses the request line and routes.
-fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
+/// Parses the request and routes.
+fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
+    let req = match http::read_request(&mut BufReader::new(&stream)) {
+        Ok(req) => req,
+        Err(e) => return http::respond_error(&mut stream, "400 Bad Request", &e),
+    };
+    if req.method != "GET" {
+        let body = "GET only\n";
+        return http::respond(&mut stream, "405 Method Not Allowed", "text/plain", body);
     }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    if method != "GET" {
-        respond(stream, "405 Method Not Allowed", "text/plain", "GET only\n");
-        return;
-    }
-    match path {
-        "/metrics" => {
-            let body = expo::prometheus(&shared.registry.snapshot());
-            respond(
-                stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
+    match req.path.as_str() {
+        "/metrics" => http::respond_metrics(&mut stream, &shared.registry),
         "/snapshot" => {
             let seq = shared.seq.load(Ordering::SeqCst);
             let body = format!("{}\n", shared.epoch_record(seq));
-            respond(stream, "200 OK", "application/json", &body);
+            http::respond_json(&mut stream, "200 OK", &body);
         }
         "/events" => serve_events(stream, &shared),
         // Liveness probe: scrapers and CI can check the hub is up
         // without parsing a snapshot.
-        "/healthz" => respond(stream, "200 OK", "text/plain", "ok\n"),
-        _ => respond(
-            stream,
+        "/healthz" => http::respond(&mut stream, "200 OK", "text/plain", "ok\n"),
+        _ => http::respond(
+            &mut stream,
             "404 Not Found",
             "text/plain",
             "try /metrics, /snapshot, /events, /healthz\n",
@@ -278,28 +256,16 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Writes one complete HTTP/1.1 response and closes.
-fn respond(mut stream: TcpStream, status: &str, ctype: &str, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
-}
-
 /// The SSE endpoint: subscribes to the broadcast list and forwards
 /// frames until the hub shuts down or the client disconnects.
 fn serve_events(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
+    if stream.write_all(http::SSE_HEAD.as_bytes()).is_err() {
         return;
     }
     // Immediately confirm liveness with the current state, then follow
     // the broadcast stream.
     let seq = shared.seq.load(Ordering::SeqCst);
-    let first = sse_frame("epoch", &shared.epoch_record(seq));
+    let first = http::sse_frame("epoch", &shared.epoch_record(seq));
     if stream.write_all(first.as_bytes()).is_err() || stream.flush().is_err() {
         return;
     }
@@ -327,28 +293,32 @@ mod tests {
     use super::*;
     use std::io::Read;
 
-    fn get(addr: SocketAddr, path: &str) -> String {
+    /// A hub serving `reg` on an ephemeral port, sampling every `epoch_ms`.
+    fn serving(reg: Registry, epoch_ms: u64) -> (Hub, SocketAddr) {
+        let mut cfg = HubConfig::default();
+        (cfg.epoch, cfg.addr) = (Duration::from_millis(epoch_ms), Some("127.0.0.1:0".into()));
+        let hub = Hub::start(reg, cfg).expect("hub start");
+        let bound = hub.local_addr().expect("bound");
+        (hub, bound)
+    }
+
+    fn send(addr: SocketAddr, raw: &str) -> String {
         let mut s = TcpStream::connect(addr).expect("connect");
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        s.write_all(raw.as_bytes()).unwrap();
         let mut buf = String::new();
         s.read_to_string(&mut buf).expect("read");
         buf
+    }
+
+    fn get(addr: SocketAddr, path: &str) -> String {
+        send(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
     }
 
     #[test]
     fn metrics_and_snapshot_serve_fresh_state() {
         let reg = Registry::new();
         let c = reg.counter("t_total", "a test counter");
-        let hub = Hub::start(
-            reg,
-            HubConfig {
-                epoch: Duration::from_millis(20),
-                addr: Some("127.0.0.1:0".into()),
-                log_path: None,
-            },
-        )
-        .expect("hub start");
-        let addr = hub.local_addr().expect("bound");
+        let (hub, addr) = serving(reg, 20);
         c.add(17);
         let m = get(addr, "/metrics");
         assert!(m.starts_with("HTTP/1.1 200 OK"), "{m}");
@@ -367,19 +337,23 @@ mod tests {
     }
 
     #[test]
+    fn garbage_request_line_is_a_400_with_a_json_error() {
+        let (hub, addr) = serving(Registry::new(), 20);
+        let bad = send(addr, "ello\r\n\r\n");
+        assert!(bad.starts_with("HTTP/1.1 400 Bad Request"), "{bad}");
+        assert!(bad.contains("application/json"), "{bad}");
+        assert!(
+            bad.ends_with("{\"error\":\"malformed request line \\\"ello\\\"\"}"),
+            "{bad}"
+        );
+        hub.shutdown();
+    }
+
+    #[test]
     fn events_stream_epochs_and_ends_cleanly() {
         let reg = Registry::new();
         let c = reg.counter("e_total", "events test");
-        let hub = Hub::start(
-            reg,
-            HubConfig {
-                epoch: Duration::from_millis(10),
-                addr: Some("127.0.0.1:0".into()),
-                log_path: None,
-            },
-        )
-        .expect("hub start");
-        let addr = hub.local_addr().expect("bound");
+        let (hub, addr) = serving(reg, 10);
         c.add(3);
 
         let mut s = TcpStream::connect(addr).expect("connect");

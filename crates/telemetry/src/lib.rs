@@ -15,6 +15,8 @@
 //! * [`hub`] — the observer: an epoch sampler, a crash-safe JSONL
 //!   epoch log, and a minimal HTTP server with `/metrics`, `/snapshot`,
 //!   and `/events` (SSE) endpoints.
+//! * [`http`] — the HTTP/1.1 request parser and response/SSE framing the
+//!   hub and the sweep daemon share.
 //!
 //! Everything here observes; nothing feeds back. The simulation's
 //! determinism guarantee (bit-identical `RunStats` with telemetry on or
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod expo;
+pub mod http;
 pub mod hub;
 pub mod rate;
 pub mod registry;
