@@ -128,33 +128,6 @@ impl Wiring {
             "Records appended to result stores",
         );
 
-        // --- host self-profiler (ccnuma_sim::prof) -----------------
-        let prof_series: Vec<(Counter, Counter, Gauge, RateFilter)> = ccnuma_sim::prof::Region::ALL
-            .iter()
-            .map(|reg| {
-                let name = reg.name();
-                (
-                    r.counter_with(
-                        "host_prof_self_ns_total",
-                        &[("region", name)],
-                        "Host nanoseconds of self time per profiled region",
-                    ),
-                    r.counter_with(
-                        "host_prof_calls_total",
-                        &[("region", name)],
-                        "Profiled span entries per region",
-                    ),
-                    r.gauge_with(
-                        "host_prof_busy_ratio",
-                        &[("region", name)],
-                        "Fraction of one host core spent in the region \
-                         (EWMA of d(self_ns)/dt / 1e9)",
-                    ),
-                    RateFilter::new(RATE_TAU_S),
-                )
-            })
-            .collect();
-
         // --- bench itself ------------------------------------------
         // Constant-1 gauge whose labels carry the build identity, so a
         // scraper can assert what it is talking to without parsing
@@ -182,7 +155,6 @@ impl Wiring {
                 let mut ev_rate = RateFilter::new(RATE_TAU_S);
                 let mut miss_rate = RateFilter::new(RATE_TAU_S);
                 let mut classes = classes;
-                let mut prof_series = prof_series;
                 loop {
                     let stopping = stop2.load(Ordering::SeqCst);
                     let dt = last.elapsed().as_secs_f64();
@@ -211,16 +183,6 @@ impl Wiring {
                         // transactions x (sim seconds / host seconds).
                         cr.depth
                             .set(cr.queue_rate.update(snap.queue_ns[i], dt) / 1e9);
-                    }
-                    let (prof_self, prof_calls) = ccnuma_sim::prof::cumulative();
-                    for (i, (self_c, calls_c, busy_g, busy_rate)) in
-                        prof_series.iter_mut().enumerate()
-                    {
-                        self_c.mirror(prof_self[i]);
-                        calls_c.mirror(prof_calls[i]);
-                        // d(self_ns)/dt is host ns of region time per host
-                        // second; /1e9 yields cores busy in the region.
-                        busy_g.set(busy_rate.update(prof_self[i], dt) / 1e9);
                     }
                     let pl = &ccnuma_sweep::pool::LIVE;
                     pool_done.mirror(pl.tasks_done.load(Ordering::Relaxed));
@@ -644,18 +606,6 @@ pub fn render_top(rec: &EpochRecord) -> String {
         g("sim_runs_started_total"),
         g("sim_time_ns_total") / 1e6,
     ));
-    let busy = |region: &str| g(&format!("host_prof_busy_ratio{{region={region}}}"));
-    let host_total: f64 = ccnuma_sim::prof::Region::ALL
-        .iter()
-        .map(|r| busy(r.name()))
-        .sum();
-    out.push_str(&format!(
-        "host   {:>8.2} core(s) profiled   engine {:.2}   memsys {:.2}   directory {:.2}\n",
-        host_total,
-        busy("engine_dispatch"),
-        busy("memsys_service"),
-        busy("directory"),
-    ));
     for c in CLASS_LABELS {
         let occ = g(&format!("sim_class_occupancy_ns_per_sec{{class={c}}}"));
         let depth = g(&format!("sim_class_queue_depth{{class={c}}}"));
@@ -867,10 +817,6 @@ mod tests {
                 ("sweep_cells_done_total{status=ok}".into(), Some(6.0)),
                 ("sweep_cells_done_total{status=panic}".into(), Some(1.0)),
                 ("sweep_cells_cache_hits_total".into(), Some(2.0)),
-                (
-                    "host_prof_busy_ratio{region=engine_dispatch}".into(),
-                    Some(0.42),
-                ),
                 ("sweep_cell_host_ms_p50".into(), Some(12.0)),
                 ("sweep_cell_host_ms_p90".into(), Some(80.0)),
             ],
@@ -881,7 +827,6 @@ mod tests {
         assert!(out.contains("7/10 done"), "{out}");
         assert!(out.contains("1 quarantined"), "{out}");
         assert!(out.contains("2 cache hits"), "{out}");
-        assert!(out.contains("engine 0.42"), "{out}");
         assert!(out.contains("p50 12"), "{out}");
         assert!(out.contains("p90 80"), "{out}");
     }
@@ -947,11 +892,5 @@ mod tests {
         };
         assert_eq!(label("version"), Some(env!("CARGO_PKG_VERSION")));
         assert_eq!(label("model"), Some(ccnuma_sim::MODEL_FINGERPRINT));
-        // One self-time series per profiled region.
-        let prof_rows = rows
-            .iter()
-            .filter(|r| r.name == "host_prof_self_ns_total")
-            .count();
-        assert_eq!(prof_rows, ccnuma_sim::prof::N_REGIONS);
     }
 }

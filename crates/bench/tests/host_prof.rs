@@ -100,25 +100,3 @@ fn profiled_run_exports_render() {
     assert!(chrome.contains("\"engine_dispatch\""), "{chrome}");
     assert!(chrome.trim_end().ends_with('}'), "{chrome}");
 }
-
-/// Cumulative counters only grow, even across `take()`, so the live
-/// telemetry mirror never sees them move backwards.
-#[test]
-fn cumulative_counters_survive_take() {
-    let _g = PROF_LOCK.lock().unwrap();
-    let spec = MatrixSpec::parse("apps=fft versions=orig procs=2")
-        .unwrap()
-        .cells()
-        .remove(0);
-    let mut cfg = spec.machine();
-    cfg.profile = true;
-    let (before, _) = prof::cumulative();
-    execute_workload(spec.workload().unwrap().as_ref(), cfg.clone()).expect("first run");
-    let _ = prof::take(); // drains the pool, not the cumulative view
-    let (mid, _) = prof::cumulative();
-    execute_workload(spec.workload().unwrap().as_ref(), cfg).expect("second run");
-    let (after, _) = prof::cumulative();
-    let i = Region::EngineDispatch.index();
-    assert!(mid[i] >= before[i], "monotone across a run");
-    assert!(after[i] > mid[i], "still growing after take()");
-}

@@ -79,8 +79,8 @@ impl RunRecord {
 }
 
 /// The measurement harness: builds machines, runs workloads, verifies
-/// results, and caches sequential baselines per (app, problem, machine
-/// fingerprint).
+/// results, and caches sequential baselines per (workload name, problem,
+/// [`sequential_config`] fingerprint).
 #[derive(Debug)]
 pub struct Runner {
     /// Cache size of the scaled machine (see
@@ -232,21 +232,6 @@ impl Runner {
         MachineConfig::origin2000_scaled(nprocs, self.cache_bytes)
     }
 
-    fn fingerprint(cfg: &MachineConfig) -> String {
-        // The baseline depends on everything that affects a uniprocessor
-        // run: cache geometry, latencies, page policy, cost model.
-        format!(
-            "{}b/{}w/{}l/{}pg/{:?}/{}mem/{}",
-            cfg.cache.size_bytes,
-            cfg.cache.assoc,
-            cfg.cache.line_bytes,
-            cfg.page_bytes,
-            cfg.placement,
-            cfg.mem_per_node_bytes,
-            cfg.latency.name,
-        ) + &format!("/{}ns", cfg.latency.local_ns)
-    }
-
     /// Runs `workload` on a machine configured by `cfg`, verifying the
     /// result.
     ///
@@ -312,7 +297,7 @@ impl Runner {
     }
 
     /// The cached sequential (1-processor) baseline for `workload` on a
-    /// machine like `cfg`.
+    /// machine like `cfg`, run on [`sequential_config`]`(cfg)`.
     ///
     /// # Errors
     ///
@@ -322,16 +307,15 @@ impl Runner {
         workload: &dyn Workload,
         cfg: &MachineConfig,
     ) -> Result<Ns, StudyError> {
-        let key = (workload.name(), workload.problem(), Self::fingerprint(cfg));
+        let seq_cfg = sequential_config(cfg);
+        let key = (
+            workload.name(),
+            workload.problem(),
+            seq_cfg.stable_fingerprint(),
+        );
         if let Some(&ns) = self.baselines.get(&key) {
             return Ok(ns);
         }
-        let mut seq_cfg = cfg.clone();
-        seq_cfg.nprocs = 1;
-        seq_cfg.mapping = ccnuma_sim::mapping::ProcessMapping::Linear;
-        // The baseline is the unperturbed denominator: one cached run
-        // shared by every schedule seed of the cell.
-        seq_cfg.schedule = None;
         let (ns, _) = Self::execute(workload, seq_cfg)?;
         self.baselines.insert(key, ns);
         Ok(ns)
@@ -340,6 +324,25 @@ impl Runner {
     fn execute(workload: &dyn Workload, cfg: MachineConfig) -> Result<(Ns, RunStats), StudyError> {
         execute_workload(workload, cfg)
     }
+}
+
+/// The machine a sequential baseline for `cfg` runs on: one processor,
+/// linearly mapped, with no schedule perturbation (the baseline is the one
+/// unperturbed denominator every seed of a cell shares) and no observers
+/// (they never change its time). Baseline caches key on the workload's
+/// name and problem and this config's
+/// [`stable_fingerprint`](MachineConfig::stable_fingerprint), which
+/// covers everything else that can change a uniprocessor run.
+pub fn sequential_config(cfg: &MachineConfig) -> MachineConfig {
+    let mut seq = cfg.clone();
+    seq.nprocs = 1;
+    seq.mapping = ccnuma_sim::mapping::ProcessMapping::Linear;
+    seq.schedule = None;
+    seq.trace.enabled = false;
+    seq.sanitize.enabled = false;
+    seq.critpath = false;
+    seq.profile = false;
+    seq
 }
 
 /// Runs `workload` once on a machine configured by `cfg`, verifying the
@@ -404,6 +407,22 @@ mod tests {
         r.sequential_ns(&w, &cfg_a).unwrap();
         r.sequential_ns(&w, &cfg_b).unwrap();
         assert_eq!(r.baselines.len(), 2);
+    }
+
+    #[test]
+    fn cost_model_is_part_of_the_baseline_key() {
+        let mut r = Runner::new(64 << 10);
+        let w = Sor::new(16);
+        let cfg_a = r.machine_for(4);
+        let mut cfg_b = cfg_a.clone();
+        cfg_b.cost.flop_ns = 1;
+        let a = r.sequential_ns(&w, &cfg_a).unwrap();
+        let b = r.sequential_ns(&w, &cfg_b).unwrap();
+        assert_eq!(r.baselines.len(), 2);
+        assert!(
+            b < a,
+            "a cheaper flop must shorten the baseline: {b} vs {a}"
+        );
     }
 
     #[test]

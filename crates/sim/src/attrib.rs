@@ -15,8 +15,9 @@
 //!   charged to the processor, to the nanosecond.
 //!
 //! The memory system fills these in ([`crate::memsys::Outcome`]), the
-//! engine accumulates them into [`crate::stats::ProcStats`] and per-phase
-//! slices, and the study crates render the paper-style tables.
+//! engine accumulates them into [`crate::stats::ProcStats`], whose
+//! differences give the per-phase slices, and the study crates render the
+//! paper-style tables.
 
 use crate::page::Addr;
 use crate::time::Ns;
@@ -195,6 +196,15 @@ impl LatencyBreakdown {
             self.queue[i] += o.queue[i];
         }
         self.other_ns += o.other_ns;
+    }
+
+    /// Removes an `earlier` reading of the same accumulation from this one.
+    pub(crate) fn sub(&mut self, earlier: &LatencyBreakdown) {
+        for i in 0..4 {
+            self.service[i] -= earlier.service[i];
+            self.queue[i] -= earlier.queue[i];
+        }
+        self.other_ns -= earlier.other_ns;
     }
 
     /// The (service, queue) pair for one resource class.

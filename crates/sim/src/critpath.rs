@@ -38,8 +38,8 @@
 
 use crate::attrib::{cause_slot_name, ResourceClass, CAUSE_SLOTS};
 use crate::chrome::{json_str, us, ChromeDoc};
-use crate::memsys::Outcome;
 use crate::observe::{Event, Grant};
+use crate::stats::{PhaseBreakdown, ProcStats};
 use crate::time::Ns;
 
 /// Sentinel item index meaning "the beginning of time" (the referenced
@@ -89,20 +89,14 @@ struct Episode {
 }
 
 /// A maximal run of one processor's timeline between sync boundaries:
-/// aggregated busy / sync-op / memory time with attrib detail. Covers
-/// `(end_t - dur, end_t]`.
+/// the busy / sync-op / memory time, with attrib detail, that its ledger
+/// was charged over `(end_t - dur, end_t]`.
 #[derive(Debug, Clone, PartialEq)]
 struct Chunk {
     phase: u32,
     end_t: Ns,
     dur: Ns,
-    busy_ns: Ns,
-    sync_op_ns: Ns,
-    mem_local_ns: Ns,
-    mem_remote_ns: Ns,
-    cause_ns: [Ns; CAUSE_SLOTS],
-    queue: [Ns; 4],
-    service: [Ns; 4],
+    time: PhaseBreakdown,
 }
 
 /// A blocked interval `(end_t - dur, end_t]` of one processor, ended by a
@@ -130,62 +124,42 @@ impl Item {
     }
 }
 
-/// The still-open chunk of one processor.
-#[derive(Debug, Default, Clone)]
-struct OpenChunk {
-    start: Ns,
-    busy_ns: Ns,
-    sync_op_ns: Ns,
-    mem_local_ns: Ns,
-    mem_remote_ns: Ns,
-    cause_ns: [Ns; CAUSE_SLOTS],
-    queue: [Ns; 4],
-    service: [Ns; 4],
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ProcState {
     items: Vec<Item>,
-    open: OpenChunk,
-    /// Current end of this processor's recorded timeline (its clock).
+    /// End of the recorded items, where the open chunk starts.
     end: Ns,
+    /// The processor's ledger times at `end`.
+    ledger_at_end: PhaseBreakdown,
     phase: u32,
 }
 
 impl ProcState {
-    fn new() -> Self {
-        ProcState {
-            items: Vec::new(),
-            open: OpenChunk::default(),
-            end: 0,
-            phase: 0,
-        }
-    }
-
-    /// Closes the open chunk (if it covers any time) at the current end.
-    fn close_open(&mut self) {
-        let o = std::mem::take(&mut self.open);
-        let dur = self.end - o.start;
+    /// Closes the open chunk (if it covers any time) at `t`, where the
+    /// processor's ledger reads `ledger`.
+    fn close_open(&mut self, t: Ns, ledger: &ProcStats) {
+        debug_assert_eq!(
+            ledger.total_ns(),
+            t,
+            "boundary time must match the ledger's clock"
+        );
+        let now = ledger.times();
+        let time = now.since(&std::mem::replace(&mut self.ledger_at_end, now));
+        let dur = t - self.end;
+        debug_assert_eq!(
+            dur,
+            time.total_ns(),
+            "chunk duration must equal its component sum"
+        );
         if dur > 0 {
-            debug_assert_eq!(
-                dur,
-                o.busy_ns + o.sync_op_ns + o.mem_local_ns + o.mem_remote_ns,
-                "chunk duration must equal its component sum"
-            );
             self.items.push(Item::Chunk(Chunk {
                 phase: self.phase,
-                end_t: self.end,
+                end_t: t,
                 dur,
-                busy_ns: o.busy_ns,
-                sync_op_ns: o.sync_op_ns,
-                mem_local_ns: o.mem_local_ns,
-                mem_remote_ns: o.mem_remote_ns,
-                cause_ns: o.cause_ns,
-                queue: o.queue,
-                service: o.service,
+                time,
             }));
         }
-        self.open.start = self.end;
+        self.end = t;
     }
 }
 
@@ -202,32 +176,34 @@ impl CritCollector {
     /// A collector for `nprocs` processors, all at time 0 in phase 0.
     pub fn new(nprocs: usize) -> Self {
         CritCollector {
-            procs: (0..nprocs).map(|_| ProcState::new()).collect(),
+            procs: vec![ProcState::default(); nprocs],
             episodes: Vec::new(),
         }
     }
 
-    /// Records the timeline and dependency edges `ev` implies.
-    pub(crate) fn on(&mut self, ev: &Event) {
+    /// Records the timeline and dependency edges `ev` implies; a chunk's
+    /// time is the `ledger`'s difference across it.
+    pub(crate) fn on(&mut self, ev: &Event, ledger: &[ProcStats]) {
         match *ev {
-            Event::Busy { at, ns } => self.busy(at.p, ns),
-            Event::SyncOp { at, ns } => self.sync_op(at.p, ns),
-            Event::Access(a) => self.mem(a.at.p, a.outcome, a.cause_slot),
-            Event::Phase { at } => self.set_phase(at.p, at.phase, at.t),
-            Event::LockGrant(g) => self.handoff(g, WaitKind::Lock),
-            Event::SemGrant(g) => self.handoff(g, WaitKind::Sem),
+            Event::Phase { at } => {
+                let s = &mut self.procs[at.p];
+                s.close_open(at.t, &ledger[at.p]);
+                s.phase = at.phase;
+            }
+            Event::LockGrant(g) => self.handoff(g, WaitKind::Lock, ledger),
+            Event::SemGrant(g) => self.handoff(g, WaitKind::Sem, ledger),
             Event::BarrierRelease { arrivals, t, .. } => {
                 // One episode over *all* arrivals (the what-if replay
                 // re-evaluates which is latest), then a wait edge for
                 // every processor the release delayed.
                 let deps = arrivals
                     .iter()
-                    .map(|&(w, a)| (w, self.boundary(w, a), a))
+                    .map(|&(w, a)| (w, self.boundary(w, a, ledger), a))
                     .collect();
                 self.episodes.push(Episode { deps });
                 let e = Dep::Episode((self.episodes.len() - 1) as u32);
                 for &(w, arrived) in arrivals.iter().filter(|&&(_, a)| t > a) {
-                    self.wait(w, arrived, t, WaitKind::Barrier, e.clone());
+                    self.wait(w, arrived, t, WaitKind::Barrier, e.clone(), ledger);
                 }
             }
             _ => {}
@@ -236,52 +212,21 @@ impl CritCollector {
 
     /// Records the release → acquire dependency edge of a hand-off that
     /// delayed its waiter.
-    fn handoff(&mut self, g: Grant, kind: WaitKind) {
+    fn handoff(&mut self, g: Grant, kind: WaitKind, ledger: &[ProcStats]) {
         if g.grant > g.at.t {
-            let rel = self.boundary(g.from, g.release_t);
-            self.wait(g.at.p, g.at.t, g.grant, kind, Dep::One(g.from, rel));
+            let rel = self.boundary(g.from, g.release_t, ledger);
+            let dep = Dep::One(g.from, rel);
+            self.wait(g.at.p, g.at.t, g.grant, kind, dep, ledger);
         }
-    }
-
-    /// Processor `p` computed for `ns`.
-    fn busy(&mut self, p: usize, ns: Ns) {
-        let s = &mut self.procs[p];
-        s.open.busy_ns += ns;
-        s.end += ns;
-    }
-
-    /// Processor `p` spent `ns` in a synchronization operation.
-    fn sync_op(&mut self, p: usize, ns: Ns) {
-        let s = &mut self.procs[p];
-        s.open.sync_op_ns += ns;
-        s.end += ns;
-    }
-
-    /// Processor `p` stalled on a memory access serviced with `o`, whose
-    /// miss-cause slot is `cause_slot`.
-    fn mem(&mut self, p: usize, o: &Outcome, cause_slot: usize) {
-        let s = &mut self.procs[p];
-        if o.home_local {
-            s.open.mem_local_ns += o.latency;
-        } else {
-            s.open.mem_remote_ns += o.latency;
-        }
-        s.open.cause_ns[cause_slot] += o.latency;
-        for i in 0..4 {
-            s.open.queue[i] += o.breakdown.queue[i];
-            s.open.service[i] += o.breakdown.service[i];
-        }
-        s.end += o.latency;
     }
 
     /// Marks a dependency boundary on processor `p` at time `t` (a lock
     /// release, semaphore post, or barrier arrival): closes the open chunk
     /// and returns the index of the item that ends at `t` ([`NO_ITEM`] if
     /// the processor has recorded nothing yet).
-    fn boundary(&mut self, p: usize, t: Ns) -> u32 {
+    fn boundary(&mut self, p: usize, t: Ns, ledger: &[ProcStats]) -> u32 {
         let s = &mut self.procs[p];
-        debug_assert_eq!(s.end, t, "boundary time must match the recorded clock");
-        s.close_open();
+        s.close_open(t, &ledger[p]);
         if s.items.is_empty() {
             NO_ITEM
         } else {
@@ -291,11 +236,18 @@ impl CritCollector {
 
     /// Processor `p` blocked from `arrived` until `grant` (`grant >
     /// arrived`) on a `kind` wait whose releaser is `dep`.
-    fn wait(&mut self, p: usize, arrived: Ns, grant: Ns, kind: WaitKind, dep: Dep) {
+    fn wait(
+        &mut self,
+        p: usize,
+        arrived: Ns,
+        grant: Ns,
+        kind: WaitKind,
+        dep: Dep,
+        ledger: &[ProcStats],
+    ) {
         debug_assert!(grant > arrived, "zero-length waits are not recorded");
         let s = &mut self.procs[p];
-        debug_assert_eq!(s.end, arrived, "wait must start at the recorded clock");
-        s.close_open();
+        s.close_open(arrived, &ledger[p]);
         s.items.push(Item::Wait(Wait {
             end_t: grant,
             dur: grant - arrived,
@@ -303,22 +255,21 @@ impl CritCollector {
             dep,
         }));
         s.end = grant;
-        s.open.start = grant;
+        // The engine charges the wait to the ledger right after the grant.
+        s.ledger_at_end.sync_wait_ns += grant - arrived;
     }
 
-    /// Processor `p` entered phase `phase` at time `t`.
-    fn set_phase(&mut self, p: usize, phase: u32, t: Ns) {
-        let s = &mut self.procs[p];
-        debug_assert_eq!(s.end, t, "phase change must happen at the recorded clock");
-        s.close_open();
-        s.phase = phase;
-    }
-
-    /// Finalizes the collected dependency structure into a report:
-    /// longest-path walk, exact attribution, and what-if projections.
-    pub(crate) fn finalize(mut self, wall: Ns, phase_names: &[String]) -> CritReport {
-        for s in &mut self.procs {
-            s.close_open();
+    /// Finalizes the collected dependency structure, given the final
+    /// `ledger`, into a report: longest-path walk, exact attribution, and
+    /// what-if projections.
+    pub(crate) fn finalize(
+        mut self,
+        wall: Ns,
+        phase_names: &[String],
+        ledger: &[ProcStats],
+    ) -> CritReport {
+        for (s, l) in self.procs.iter_mut().zip(ledger) {
+            s.close_open(l.total_ns(), l);
         }
         let max_phase = self
             .procs
@@ -513,18 +464,19 @@ impl CritCollector {
                     // No active window below `cursor`: the rest of the chunk
                     // is attributed by its own composition, scaled exactly.
                     let part = cursor - lo;
-                    let comp = [c.busy_ns, c.sync_op_ns, c.mem_local_ns, c.mem_remote_ns];
+                    let t = &c.time;
+                    let comp = [t.busy_ns, t.sync_op_ns, t.mem_local_ns, t.mem_remote_ns];
                     let s = split_exact(comp, c.dur, part);
                     row.busy_ns += s[0];
                     row.sync_op_ns += s[1];
                     row.mem_local_ns += s[2];
                     row.mem_remote_ns += s[3];
-                    for (slot, v) in cause_ns.iter_mut().zip(&c.cause_ns) {
+                    for (slot, v) in cause_ns.iter_mut().zip(&t.mem_cause_ns) {
                         *slot += scale(*v, part, c.dur);
                     }
                     for i in 0..4 {
-                        queue_ns[i] += scale(c.queue[i], part, c.dur);
-                        service_ns[i] += scale(c.service[i], part, c.dur);
+                        queue_ns[i] += scale(t.mem_breakdown.queue[i], part, c.dur);
+                        service_ns[i] += scale(t.mem_breakdown.service[i], part, c.dur);
                     }
                     segments.push(PathSeg {
                         proc,
@@ -675,27 +627,27 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "sync=0",
         honors_deps: false,
-        cost: |c| c.dur - c.sync_op_ns,
+        cost: |c| c.dur - c.time.sync_op_ns,
     },
     Scenario {
         name: "hub_queue=0",
         honors_deps: true,
-        cost: |c| c.dur - c.queue[0],
+        cost: |c| c.dur - c.time.mem_breakdown.queue[0],
     },
     Scenario {
         name: "queue=0",
         honors_deps: true,
-        cost: |c| c.dur - c.queue.iter().sum::<Ns>(),
+        cost: |c| c.dur - c.time.mem_breakdown.queue_total(),
     },
     Scenario {
         name: "remote*0.5",
         honors_deps: true,
-        cost: |c| c.dur - (c.mem_remote_ns - c.mem_remote_ns / 2),
+        cost: |c| c.dur - (c.time.mem_remote_ns - c.time.mem_remote_ns / 2),
     },
     Scenario {
         name: "busy-only",
         honors_deps: false,
-        cost: |c| c.busy_ns,
+        cost: |c| c.time.busy_ns,
     },
 ];
 
@@ -1032,22 +984,41 @@ impl CritReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::At;
+
+    /// The phase names of a run that never calls `ctx.phase`.
+    fn main_only() -> Vec<String> {
+        vec!["main".to_string()]
+    }
 
     /// Two procs, one lock handoff: p0 busy 100 then releases; p1 busy 30,
     /// waits 30→100, then busy 50. Wall = 150 via p1.
-    fn lock_chain() -> CritCollector {
+    fn lock_chain() -> CritReport {
         let mut c = CritCollector::new(2);
-        c.busy(0, 100);
-        c.busy(1, 30);
-        let rel = c.boundary(0, 100);
-        c.wait(1, 30, 100, WaitKind::Lock, Dep::One(0, rel));
-        c.busy(1, 50);
-        c
+        let mut l = vec![ProcStats::default(); 2];
+        l[0].busy_ns = 100;
+        l[1].busy_ns = 30;
+        let at = At {
+            p: 1,
+            t: 30,
+            phase: 0,
+        };
+        let g = Grant {
+            at,
+            id: 0,
+            from: 0,
+            release_t: 100,
+            grant: 100,
+        };
+        c.on(&Event::LockGrant(g), &l);
+        l[1].sync_wait_ns = 70;
+        l[1].busy_ns += 50;
+        c.finalize(150, &main_only(), &l)
     }
 
     #[test]
     fn lock_chain_partitions_exactly() {
-        let rep = lock_chain().finalize(150, &["main".to_string()]);
+        let rep = lock_chain();
         assert_eq!(rep.total.total_ns(), 150);
         // p1 busy 50 (on path) + p0 split: (30,100] behind the wait window
         // → 70 lock wait; (0,30] → busy.
@@ -1060,7 +1031,7 @@ mod tests {
 
     #[test]
     fn lock_chain_whatif_bounds_hold() {
-        let rep = lock_chain().finalize(150, &["main".to_string()]);
+        let rep = lock_chain();
         assert_eq!(rep.whatif[0].name, "measured");
         assert_eq!(rep.whatif[0].wall_ns, 150);
         // sync=0 ignores the wait: each proc runs its own busy serially.
@@ -1079,19 +1050,24 @@ mod tests {
     fn barrier_episode_follows_last_arrival() {
         // Three procs arrive at 10/40/100; all released at 100.
         let mut c = CritCollector::new(3);
-        c.busy(0, 10);
-        c.busy(1, 40);
-        c.busy(2, 100);
+        let mut l = vec![ProcStats::default(); 3];
         let arrivals = [(0, 10), (1, 40), (2, 100)];
-        c.on(&Event::BarrierRelease {
-            id: 0,
-            arrivals: &arrivals,
-            t: 100,
-        });
-        c.busy(0, 20);
-        c.busy(1, 10);
-        c.busy(2, 20);
-        let rep = c.finalize(120, &["main".to_string()]);
+        for (p, a) in arrivals {
+            l[p].busy_ns = a;
+        }
+        c.on(
+            &Event::BarrierRelease {
+                id: 0,
+                arrivals: &arrivals,
+                t: 100,
+            },
+            &l,
+        );
+        for ((p, a), busy) in arrivals.into_iter().zip([20, 10, 20]) {
+            l[p].sync_wait_ns = 100 - a;
+            l[p].busy_ns += busy;
+        }
+        let rep = c.finalize(120, &main_only(), &l);
         // Path: p0 (100,120] busy 20, then episode jump to p2 (the last
         // arriver). p2's (10,100] is behind p0's window → barrier wait;
         // (0,10] splits off as busy.
@@ -1107,15 +1083,17 @@ mod tests {
 
     #[test]
     fn mem_detail_lands_in_report() {
-        let mut c = CritCollector::new(1);
-        let mut o = Outcome::hit(100);
-        o.home_local = false;
-        o.breakdown.queue[0] = 30;
-        o.breakdown.service[1] = 50;
-        o.breakdown.other_ns = 20;
-        c.busy(0, 100);
-        c.mem(0, &o, 4);
-        let rep = c.finalize(200, &["main".to_string()]);
+        let mut l = ProcStats {
+            busy_ns: 100,
+            mem_ns: 100,
+            mem_remote_ns: 100,
+            ..Default::default()
+        };
+        l.mem_cause_ns[4] = 100;
+        l.mem_breakdown.queue[0] = 30;
+        l.mem_breakdown.service[1] = 50;
+        l.mem_breakdown.other_ns = 20;
+        let rep = CritCollector::new(1).finalize(200, &main_only(), &[l]);
         assert_eq!(rep.total.mem_remote_ns, 100);
         assert_eq!(rep.mem_cause_ns[4], 100);
         assert_eq!(rep.mem_queue_ns[0], 30);
@@ -1130,11 +1108,19 @@ mod tests {
     #[test]
     fn phase_rows_partition_the_path() {
         let mut c = CritCollector::new(1);
-        c.busy(0, 60);
-        c.set_phase(0, 1, 60);
-        c.busy(0, 40);
+        let mut l = [ProcStats {
+            busy_ns: 60,
+            ..Default::default()
+        }];
+        let at = At {
+            p: 0,
+            t: 60,
+            phase: 1,
+        };
+        c.on(&Event::Phase { at }, &l);
+        l[0].busy_ns += 40;
         let names = vec!["main".to_string(), "solve".to_string()];
-        let rep = c.finalize(100, &names);
+        let rep = c.finalize(100, &names, &l);
         assert_eq!(rep.phases.len(), 2);
         assert_eq!(rep.phases[0].name, "main");
         assert_eq!(rep.phases[0].path.busy_ns, 60);
@@ -1144,7 +1130,7 @@ mod tests {
 
     #[test]
     fn segments_merge_and_order_forward() {
-        let rep = lock_chain().finalize(150, &["main".to_string()]);
+        let rep = lock_chain();
         assert!(!rep.segments.is_empty());
         for w in rep.segments.windows(2) {
             assert!(w[0].end <= w[1].start || w[0].start <= w[1].start);
@@ -1172,7 +1158,11 @@ mod tests {
 
     #[test]
     fn empty_run_yields_empty_report() {
-        let rep = CritCollector::new(2).finalize(0, &["main".to_string()]);
+        let rep = CritCollector::new(2).finalize(
+            0,
+            &main_only(),
+            &[ProcStats::default(), ProcStats::default()],
+        );
         assert_eq!(rep.wall_ns, 0);
         assert_eq!(rep.total.total_ns(), 0);
         assert_eq!(rep.whatif[0].wall_ns, 0);
@@ -1183,7 +1173,7 @@ mod tests {
 
     #[test]
     fn summary_triple_sums_to_wall() {
-        let rep = lock_chain().finalize(150, &["main".to_string()]);
+        let rep = lock_chain();
         let [b, m, s] = rep.summary();
         assert_eq!(b + m + s, 150);
         let (bp, mp, sp) = rep.share_pct();

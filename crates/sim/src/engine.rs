@@ -6,13 +6,15 @@
 //! submitted its next request (so no earlier-in-virtual-time work can still
 //! appear), which makes runs deterministic regardless of host scheduling.
 //!
-//! All time charged to a processor flows through the `charge_*` helpers,
-//! which update the per-processor totals and the per-phase accumulators
-//! together, so the two reconcile by construction. Everything the
-//! optional views of a run need — those charges, each access, phase
-//! changes, synchronization hand-offs, the start of each event — leaves
-//! the engine as one [`Event`] through the observer seam
-//! ([`crate::observe`]), emitted from one place per kind. The engine never
+//! All time charged to a processor flows through the `charge_*` helpers
+//! into one ledger, the per-processor [`ProcStats`]; each charge is
+//! counted there once. A processor's per-phase breakdown is the ledger's
+//! difference between entering and leaving the phase, so the phases
+//! partition the ledger by construction. Everything the optional views of
+//! a run need — those charges, each access, phase changes,
+//! synchronization hand-offs, the start of each event — leaves the engine
+//! as one [`Event`] through the observer seam ([`crate::observe`]),
+//! emitted from one place per kind beside the ledger. The engine never
 //! reads an observer back, so no observer can change the run.
 
 use std::cmp::Reverse;
@@ -65,17 +67,26 @@ impl fmt::Display for Parked {
     }
 }
 
+/// Where a processor's thread is in its request cycle.
+enum RunState {
+    /// Executing application code: it owes the engine a request.
+    Running,
+    /// Its request waits in the heap to be processed.
+    Queued(Request),
+    /// Parked on a synchronization object (named in deadlock reports).
+    Parked(Parked),
+    /// Its `Finish` request was processed.
+    Done,
+}
+
+/// A processor's control state; everything it is charged is in the ledger.
 struct ProcRuntime {
     clock: Ns,
-    stats: ProcStats,
     /// Interned id of the phase this processor is currently in.
     phase: u32,
-    pending: Option<Request>,
-    /// Thread is executing application code (we owe nothing, it owes a request).
-    running: bool,
-    /// What the processor is parked on, for deadlock reports.
-    parked_on: Option<Parked>,
-    done: bool,
+    /// The processor's ledger times when it entered that phase.
+    phase_from: PhaseBreakdown,
+    state: RunState,
 }
 
 pub(crate) struct Engine {
@@ -83,6 +94,8 @@ pub(crate) struct Engine {
     mem: MemorySystem,
     sync: SyncTables,
     procs: Vec<ProcRuntime>,
+    /// The ledger: the only place a busy, sync or memory charge is counted.
+    stats: Vec<ProcStats>,
     heap: BinaryHeap<Reverse<(Ns, usize)>>,
     reply_tx: Vec<SyncSender<Reply>>,
     req_rx: Receiver<(usize, Request)>,
@@ -90,7 +103,7 @@ pub(crate) struct Engine {
     log2p: u32,
     /// Interned phase names; id 0 is the implicit `"main"` phase.
     phase_names: Vec<String>,
-    /// Per-processor, per-phase time accumulators.
+    /// Per-processor, per-phase times, booked as each phase is left.
     phase_acc: Vec<Vec<PhaseBreakdown>>,
     /// Seeded schedule perturber, when `cfg.schedule` is set. Unlike the
     /// observers it changes the run, so it is engine state. All its
@@ -124,14 +137,12 @@ impl Engine {
             procs: (0..n)
                 .map(|_| ProcRuntime {
                     clock: 0,
-                    stats: ProcStats::default(),
                     phase: 0,
-                    pending: None,
-                    running: true,
-                    parked_on: None,
-                    done: false,
+                    phase_from: PhaseBreakdown::default(),
+                    state: RunState::Running,
                 })
                 .collect(),
+            stats: vec![ProcStats::default(); n],
             heap: BinaryHeap::new(),
             reply_tx,
             req_rx,
@@ -167,7 +178,7 @@ impl Engine {
             let frontier = self
                 .procs
                 .iter()
-                .filter(|p| p.running && !p.done)
+                .filter(|p| matches!(p.state, RunState::Running))
                 .map(|p| p.clock)
                 .min();
             // Strict inequality: a running processor whose clock equals the
@@ -207,10 +218,11 @@ impl Engine {
                 }
                 // Popped times are nondecreasing, so ticks drive the
                 // observers' sampling clocks forward monotonically.
-                self.obs.emit(&Event::Tick {
+                let tick = Event::Tick {
                     t,
                     contention: &self.mem.contention,
-                });
+                };
+                self.obs.emit(&tick, &self.stats);
                 {
                     let _sp = prof::span(Region::EngineDispatch);
                     self.process(p);
@@ -232,21 +244,19 @@ impl Engine {
                     .procs
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, p)| p.parked_on.map(|r| format!("proc {i} on {r}")))
+                    .filter_map(|(i, p)| match p.state {
+                        RunState::Parked(r) => Some(format!("proc {i} on {r}")),
+                        _ => None,
+                    })
                     .collect();
                 let note = self.obs.deadlock_note(&self.phase_names);
                 return Err(SimError::Deadlock(blocked.join(", ") + &note));
             }
         }
-        let wall = self
-            .procs
-            .iter()
-            .map(|p| p.stats.finish_ns)
-            .max()
-            .unwrap_or(0);
+        let wall = self.stats.iter().map(|s| s.finish_ns).max().unwrap_or(0);
         let reports = self
             .obs
-            .finish(wall, &self.mem.contention, &self.phase_names);
+            .finish(wall, &self.mem.contention, &self.phase_names, &self.stats);
         let phases: Vec<PhaseStats> = self
             .phase_names
             .iter()
@@ -268,7 +278,7 @@ impl Engine {
             ranges: reports.ranges,
             trace: reports.trace,
             phases,
-            procs: self.procs.into_iter().map(|p| p.stats).collect(),
+            procs: self.stats,
             sanitize: reports.sanitize,
             critpath: reports.critpath,
         })
@@ -278,16 +288,17 @@ impl Engine {
         if let Action::Panic(msg) = req.action {
             return Err(SimError::AppPanic(msg));
         }
-        debug_assert!(self.procs[p].pending.is_none(), "proc {p} double-submitted");
-        self.procs[p].running = false;
-        self.procs[p].pending = Some(req);
+        debug_assert!(
+            matches!(self.procs[p].state, RunState::Running),
+            "proc {p} submitted while not running"
+        );
+        self.procs[p].state = RunState::Queued(req);
         self.heap.push(Reverse((self.procs[p].clock, p)));
         Ok(())
     }
 
     fn reply(&mut self, p: usize, value: i64) {
-        self.procs[p].running = true;
-        self.procs[p].parked_on = None;
+        self.procs[p].state = RunState::Running;
         // A send failure means the thread died; the engine will notice via
         // the request channel.
         let _ = self.reply_tx[p].send(Reply { value });
@@ -302,14 +313,23 @@ impl Engine {
         (self.phase_names.len() - 1) as u32
     }
 
-    /// The per-phase accumulator for processor `p`'s phase `phase`.
-    fn slice(&mut self, p: usize, phase: u32) -> &mut PhaseBreakdown {
+    /// Books `p`'s ledger times since it entered its current phase to
+    /// that phase; called as the processor leaves the phase or finishes.
+    fn close_phase(&mut self, p: usize) {
+        let now = self.stats[p].times();
+        let rt = &mut self.procs[p];
+        let spent = now.since(&std::mem::replace(&mut rt.phase_from, now));
         let v = &mut self.phase_acc[p];
-        let i = phase as usize;
+        let i = rt.phase as usize;
         if v.len() <= i {
             v.resize(i + 1, PhaseBreakdown::default());
         }
-        &mut v[i]
+        v[i].add(&spent);
+    }
+
+    /// Hands `ev` to the observers beside the ledger.
+    fn emit(&mut self, ev: &Event) {
+        self.obs.emit(ev, &self.stats);
     }
 
     /// Processor `p`'s observer tag: its clock and current phase.
@@ -327,12 +347,9 @@ impl Engine {
         if ns == 0 {
             return;
         }
-        let at = self.at(p);
-        self.obs.emit(&Event::Busy { at, ns });
-        let rt = &mut self.procs[p];
-        rt.stats.busy_ns += ns;
-        rt.clock += ns;
-        self.slice(p, at.phase).busy_ns += ns;
+        self.emit(&Event::Busy { at: self.at(p), ns });
+        self.stats[p].busy_ns += ns;
+        self.procs[p].clock += ns;
     }
 
     /// Charges `ns` of synchronization-operation overhead to `p`,
@@ -341,12 +358,9 @@ impl Engine {
         if ns == 0 {
             return;
         }
-        let at = self.at(p);
-        self.obs.emit(&Event::SyncOp { at, ns });
-        let rt = &mut self.procs[p];
-        rt.stats.sync_op_ns += ns;
-        rt.clock += ns;
-        self.slice(p, at.phase).sync_op_ns += ns;
+        self.emit(&Event::SyncOp { at: self.at(p), ns });
+        self.stats[p].sync_op_ns += ns;
+        self.procs[p].clock += ns;
     }
 
     /// Charges `p`'s wait from its clock (where it parked) to `until`, and
@@ -355,9 +369,8 @@ impl Engine {
         let at = self.at(p);
         let ns = until.saturating_sub(at.t);
         if ns > 0 {
-            self.obs.emit(&Event::SyncWait { at, ns });
-            self.procs[p].stats.sync_wait_ns += ns;
-            self.slice(p, at.phase).sync_wait_ns += ns;
+            self.emit(&Event::SyncWait { at, ns });
+            self.stats[p].sync_wait_ns += ns;
         }
         self.procs[p].clock = until;
     }
@@ -365,8 +378,7 @@ impl Engine {
     /// Charges one serviced access at `addr` to `p`, advancing its clock.
     fn charge_access(&mut self, p: usize, addr: Addr, kind: AccessKind, o: &Outcome) {
         let at = self.at(p);
-        let rt = &mut self.procs[p];
-        let stats = &mut rt.stats;
+        let stats = &mut self.stats[p];
         match kind {
             AccessKind::Read => stats.reads += 1,
             AccessKind::Write => stats.writes += 1,
@@ -411,28 +423,18 @@ impl Engine {
             None => CAUSE_OTHER,
         };
         stats.mem_cause_ns[cause_slot] += o.latency;
-        rt.clock += o.latency;
-        let s = self.slice(p, at.phase);
-        s.mem_ns += o.latency;
-        if o.home_local {
-            s.mem_local_ns += o.latency;
-        } else {
-            s.mem_remote_ns += o.latency;
-        }
-        s.mem_breakdown.add(&o.breakdown);
-        s.mem_cause_ns[cause_slot] += o.latency;
-        self.obs.emit(&Event::Access(LineAccess {
+        self.procs[p].clock += o.latency;
+        self.emit(&Event::Access(LineAccess {
             at,
             addr,
             kind,
             outcome: o,
-            cause_slot,
         }));
     }
 
     fn apply_ops(&mut self, p: usize, busy: Ns, ops: &[MemOp], san: &[MemOp]) {
         self.charge_busy(p, busy);
-        self.obs.emit(&Event::MemOps {
+        self.emit(&Event::MemOps {
             at: self.at(p),
             ops: san,
         });
@@ -467,7 +469,7 @@ impl Engine {
                     }
                     OpKind::Prefetch => {
                         let (issue, _fill) = self.mem.prefetch(p, addr, self.procs[p].clock);
-                        self.procs[p].stats.prefetches += 1;
+                        self.stats[p].prefetches += 1;
                         self.charge_busy(p, issue);
                     }
                 }
@@ -486,39 +488,40 @@ impl Engine {
     /// Charges `p` an atomic RMW on `addr` now, as synchronization overhead.
     fn charge_atomic(&mut self, p: usize, addr: Addr) {
         let cost = self.rmw_cost(p, addr, self.procs[p].clock);
-        self.procs[p].stats.atomics += 1;
+        self.stats[p].atomics += 1;
         self.charge_sync_op(p, cost);
     }
 
     fn process(&mut self, p: usize) {
-        let req = self.procs[p]
-            .pending
-            .take()
-            .expect("heap entry without pending request");
+        // Every action below leaves `p` Running (replied to), Parked or Done.
+        let RunState::Queued(req) = std::mem::replace(&mut self.procs[p].state, RunState::Running)
+        else {
+            unreachable!("heap entry without a queued request");
+        };
         self.apply_ops(p, req.busy, &req.ops, &req.san);
         match req.action {
             Action::Flush => self.reply(p, 0),
             Action::Phase(name) => {
+                self.close_phase(p);
                 self.procs[p].phase = self.intern_phase(&name);
-                self.obs.emit(&Event::Phase { at: self.at(p) });
+                self.emit(&Event::Phase { at: self.at(p) });
                 self.reply(p, 0);
             }
             Action::Finish => {
-                let rt = &mut self.procs[p];
-                rt.stats.finish_ns = rt.clock;
-                rt.done = true;
-                rt.running = false;
+                self.close_phase(p);
+                self.stats[p].finish_ns = self.procs[p].clock;
+                self.procs[p].state = RunState::Done;
                 self.done_count += 1;
             }
             Action::Lock(id) => {
                 self.charge_atomic(p, self.sync.locks[id].addr);
                 let t = self.procs[p].clock;
                 if self.sync.locks[id].acquire_or_enqueue(p, t) {
-                    self.obs.emit(&Event::LockAcquire { at: self.at(p), id });
-                    self.procs[p].stats.lock_acquires += 1;
+                    self.emit(&Event::LockAcquire { at: self.at(p), id });
+                    self.stats[p].lock_acquires += 1;
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(Parked::Lock(id));
+                    self.procs[p].state = RunState::Parked(Parked::Lock(id));
                 }
             }
             Action::Unlock(id) => {
@@ -534,7 +537,7 @@ impl Engine {
                 };
                 self.charge_sync_op(p, cost);
                 let release_t = self.procs[p].clock;
-                self.obs.emit(&Event::LockRelease { at: self.at(p), id });
+                self.emit(&Event::LockRelease { at: self.at(p), id });
                 // Grant order is the perturber's lock choice point: with a
                 // schedule set and several waiters queued, a seeded pick
                 // replaces the FIFO (ticket-order) handoff.
@@ -548,7 +551,7 @@ impl Engine {
                     // attempt has (they overlap in virtual time); the grant
                     // happens at whichever is later.
                     let grant = release_t.max(arrived);
-                    self.obs.emit(&Event::LockGrant(Grant {
+                    self.emit(&Event::LockGrant(Grant {
                         at: self.at(w),
                         id,
                         from: p,
@@ -558,14 +561,14 @@ impl Engine {
                     // Hand off: the new holder pulls the lock line over.
                     let handoff = self.rmw_cost(w, addr, grant);
                     self.charge_sync_wait(w, grant);
-                    self.procs[w].stats.lock_acquires += 1;
+                    self.stats[w].lock_acquires += 1;
                     self.charge_sync_op(w, handoff);
                     self.reply(w, 0);
                 }
                 self.reply(p, 0);
             }
             Action::Barrier(id) => {
-                self.obs.emit(&Event::BarrierArrive { at: self.at(p), id });
+                self.emit(&Event::BarrierArrive { at: self.at(p), id });
                 let addr = self.sync.barriers[id].addr;
                 let now = self.procs[p].clock;
                 let arrive_cost = match self.cfg.barrier_impl {
@@ -581,7 +584,7 @@ impl Engine {
                 self.charge_sync_op(p, arrive_cost);
                 let t = self.procs[p].clock;
                 let Some(mut arrivals) = self.sync.barriers[id].arrive(p, t) else {
-                    self.procs[p].parked_on = Some(Parked::Barrier(id));
+                    self.procs[p].state = RunState::Parked(Parked::Barrier(id));
                     return;
                 };
                 let release_t = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t);
@@ -593,7 +596,7 @@ impl Engine {
                 if let Some(sched) = self.sched.as_deref_mut() {
                     sched.shuffle(&mut arrivals);
                 }
-                self.obs.emit(&Event::BarrierRelease {
+                self.emit(&Event::BarrierRelease {
                     id,
                     arrivals: &arrivals,
                     t: release_t,
@@ -611,17 +614,17 @@ impl Engine {
                         BarrierImpl::CentralFetchOp => self.mem.fetchop(w, addr, release_t),
                     };
                     self.charge_sync_wait(w, release_t);
-                    self.procs[w].stats.barriers += 1;
+                    self.stats[w].barriers += 1;
                     self.charge_sync_op(w, wake_cost);
                     self.reply(w, 0);
                 }
                 // After the woken processors' events, so the trace buffer
                 // sees its spans in the same order at any span cap.
                 let (from, to) = (first_t, release_t);
-                self.obs.emit(&Event::BarrierEpisode { id, from, to });
+                self.emit(&Event::BarrierEpisode { id, from, to });
             }
             Action::FetchAdd(id, delta) => {
-                self.obs.emit(&Event::FetchAdd { at: self.at(p), id });
+                self.emit(&Event::FetchAdd { at: self.at(p), id });
                 self.charge_atomic(p, self.sync.cells[id].addr);
                 let prev = self.sync.cells[id].value;
                 self.sync.cells[id].value += delta;
@@ -631,14 +634,14 @@ impl Engine {
                 self.charge_atomic(p, self.sync.sems[id].addr);
                 let t = self.procs[p].clock;
                 if self.sync.sems[id].wait_or_enqueue(p, t) {
-                    self.obs.emit(&Event::SemAcquire { at: self.at(p), id });
+                    self.emit(&Event::SemAcquire { at: self.at(p), id });
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(Parked::Semaphore(id));
+                    self.procs[p].state = RunState::Parked(Parked::Semaphore(id));
                 }
             }
             Action::SemPost(id, n) => {
-                self.obs.emit(&Event::SemPost { at: self.at(p), id });
+                self.emit(&Event::SemPost { at: self.at(p), id });
                 let addr = self.sync.sems[id].addr;
                 self.charge_atomic(p, addr);
                 let post_t = self.procs[p].clock;
@@ -650,7 +653,7 @@ impl Engine {
                 };
                 for (w, arrived) in woken {
                     let grant = post_t.max(arrived);
-                    self.obs.emit(&Event::SemGrant(Grant {
+                    self.emit(&Event::SemGrant(Grant {
                         at: self.at(w),
                         id,
                         from: p,

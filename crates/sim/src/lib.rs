@@ -43,8 +43,9 @@
 //!
 //! Tracing, range attribution, the sanitizer, the critical path and the
 //! live counters ([`live`]) are *observers*: the engine feeds all of them
-//! through one seam, a single stream of events that they read and never
-//! answer, so none of them can change a simulated result.
+//! through one seam, a single stream of events, each beside the
+//! per-processor statistics so far, that they read and never answer, so
+//! none of them can change a simulated result.
 //!
 //! Applications are ordinary Rust closures run on one OS thread per
 //! simulated processor; they compute *real, verifiable results* on data in

@@ -10,18 +10,21 @@
 //! per-class occupancy and queue depth.
 //!
 //! The counters are **observer-passive by construction**: the engine only
-//! ever *writes* them (relaxed, batched through `LiveDelta` so the hot
-//! path pays one branch per event and a handful of atomic adds every
-//! `FLUSH_EVERY` events), and no simulation decision ever reads them
-//! back. Enabling or disabling an observer therefore cannot change a
-//! single simulated nanosecond — the bit-identical pin lives in
-//! `crates/bench/tests/telemetry_live.rs`.
+//! ever *writes* them, and no simulation decision ever reads them back.
+//! Enabling or disabling an observer therefore cannot change a single
+//! simulated nanosecond — the bit-identical pin lives in
+//! `crates/bench/tests/telemetry_live.rs`. They count nothing themselves:
+//! every `FLUSH_EVERY` events and at run end, `LiveDelta` publishes the
+//! engine's ledger ([`ProcStats`]) growth since its last flush, so the hot
+//! path pays one branch per event and the live totals agree with
+//! [`RunStats`](crate::stats::RunStats) by construction
+//! (`crates/sim/tests/live_ledger.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::memsys::{AccessClass, Outcome};
 use crate::observe::Event;
 use crate::prof::{self, Region};
+use crate::stats::ProcStats;
 use crate::time::Ns;
 
 /// Number of classified miss-cause slots mirrored live (matches
@@ -131,28 +134,21 @@ pub static LIVE: LiveCounters = LiveCounters {
     sim_ns: AtomicU64::new(0),
 };
 
-/// How many engine events a [`LiveDelta`] buffers before flushing to the
-/// global atomics.
+/// How many engine events a [`LiveDelta`] lets pass between flushes to
+/// the global atomics.
 pub(crate) const FLUSH_EVERY: u64 = 4096;
 
-/// Engine-local accumulation buffer: plain integers on the engine's own
-/// cache lines, flushed to [`LIVE`] every [`FLUSH_EVERY`] events and at
-/// run end, so the event-loop hot path stays free of atomic traffic.
+/// One run's link to [`LIVE`]: the engine events since the last flush and
+/// the machine totals published so far, so the event-loop hot path stays
+/// free of atomic traffic.
 #[derive(Debug, Default)]
 pub(crate) struct LiveDelta {
     events: u64,
-    accesses: u64,
-    hits: u64,
-    misses: u64,
-    miss_causes: [u64; LIVE_CAUSES],
-    service_ns: [u64; LIVE_CLASSES],
-    queue_ns: [u64; LIVE_CLASSES],
-    mem_stall_ns: u64,
-    events_since_flush: u64,
+    published: ProcStats,
 }
 
 impl LiveDelta {
-    /// The buffer of a run that is starting, counted in
+    /// The link of a run that is starting, counted in
     /// [`LiveCounters::runs_started`].
     pub(crate) fn start() -> Self {
         LIVE.runs_started.fetch_add(1, Ordering::Relaxed);
@@ -160,127 +156,78 @@ impl LiveDelta {
     }
 
     /// Counts an engine event on each tick, flushing every
-    /// [`FLUSH_EVERY`] events, and every serviced access.
+    /// [`FLUSH_EVERY`] events.
     #[inline]
-    pub(crate) fn on(&mut self, ev: &Event) {
-        match ev {
-            Event::Tick { .. } if self.event() => {
-                {
-                    let _sp = prof::span(Region::LiveFlush);
-                    self.flush();
-                }
-                // Piggyback the profiler's fold-to-global on the same
-                // cadence so live observers see mid-run data.
-                prof::flush_thread();
+    pub(crate) fn on(&mut self, ev: &Event, ledger: &[ProcStats]) {
+        if let Event::Tick { .. } = ev {
+            self.events += 1;
+            if self.events >= FLUSH_EVERY {
+                let _sp = prof::span(Region::LiveFlush);
+                self.flush(ledger);
             }
-            Event::Access(a) => self.access(a.outcome),
-            _ => {}
         }
     }
 
     /// Flushes what is left of a run that finished at virtual time `wall`
-    /// and counts it in [`LiveCounters::runs_finished`].
-    pub(crate) fn finish(mut self, wall: Ns) {
-        self.flush();
+    /// with the final `ledger` and counts it in
+    /// [`LiveCounters::runs_finished`].
+    pub(crate) fn finish(mut self, wall: Ns, ledger: &[ProcStats]) {
+        self.flush(ledger);
         LIVE.sim_ns.fetch_add(wall, Ordering::Relaxed);
         LIVE.runs_finished.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one processed engine event; returns true when the buffer is
-    /// due for a [`flush`](LiveDelta::flush).
-    #[inline]
-    fn event(&mut self) -> bool {
-        self.events += 1;
-        self.events_since_flush += 1;
-        self.events_since_flush >= FLUSH_EVERY
-    }
-
-    /// Counts one serviced access with its latency breakdown.
-    #[inline]
-    fn access(&mut self, o: &Outcome) {
-        self.accesses += 1;
-        self.hits += u64::from(o.class == AccessClass::Hit);
-        self.misses += u64::from(!matches!(o.class, AccessClass::Hit | AccessClass::Upgrade));
-        if let Some(cause) = o.miss_cause {
-            self.miss_causes[cause.index()] += 1;
-        }
-        self.mem_stall_ns += o.latency;
-        for i in 0..LIVE_CLASSES {
-            self.service_ns[i] += o.breakdown.service[i];
-            self.queue_ns[i] += o.breakdown.queue[i];
-        }
-    }
-
-    /// Adds everything buffered to the global counters and resets the
-    /// buffer.
-    fn flush(&mut self) {
-        let add = |a: &AtomicU64, v: &mut u64| {
-            if *v != 0 {
-                a.fetch_add(*v, Ordering::Relaxed);
-                *v = 0;
+    /// Adds the events since the last flush, and the machine totals'
+    /// growth since then, to the global counters.
+    fn flush(&mut self, ledger: &[ProcStats]) {
+        let add = |a: &AtomicU64, v: u64| {
+            if v != 0 {
+                a.fetch_add(v, Ordering::Relaxed);
             }
         };
-        add(&LIVE.events, &mut self.events);
-        add(&LIVE.accesses, &mut self.accesses);
-        add(&LIVE.hits, &mut self.hits);
-        add(&LIVE.misses, &mut self.misses);
+        let (now, was) = (ProcStats::sum(ledger), &self.published);
+        add(&LIVE.events, std::mem::take(&mut self.events));
+        add(&LIVE.accesses, now.accesses() - was.accesses());
+        add(&LIVE.hits, now.hits - was.hits);
+        add(&LIVE.misses, now.misses() - was.misses());
+        let (causes, causes_was) = (now.cause_counts(), was.cause_counts());
         for i in 0..LIVE_CAUSES {
-            add(&LIVE.miss_causes[i], &mut self.miss_causes[i]);
+            add(&LIVE.miss_causes[i], causes[i] - causes_was[i]);
         }
+        let (bd, bd_was) = (&now.mem_breakdown, &was.mem_breakdown);
         for i in 0..LIVE_CLASSES {
-            add(&LIVE.service_ns[i], &mut self.service_ns[i]);
-            add(&LIVE.queue_ns[i], &mut self.queue_ns[i]);
+            add(&LIVE.service_ns[i], bd.service[i] - bd_was.service[i]);
+            add(&LIVE.queue_ns[i], bd.queue[i] - bd_was.queue[i]);
         }
-        add(&LIVE.mem_stall_ns, &mut self.mem_stall_ns);
-        self.events_since_flush = 0;
+        add(&LIVE.mem_stall_ns, now.mem_ns - was.mem_ns);
+        self.published = now;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrib::{LatencyBreakdown, MissCause};
+    use crate::contend::Contention;
 
     #[test]
-    fn delta_buffers_then_flushes_exactly() {
-        let before = LIVE.snapshot();
+    fn flushes_after_flush_every_ticks() {
+        let contention = Contention::new(1, 1, 1);
+        let ledger = [ProcStats {
+            reads: 3,
+            ..Default::default()
+        }];
         let mut d = LiveDelta::default();
-        let mut due = false;
-        for _ in 0..10 {
-            due |= d.event();
+        for t in 1..=FLUSH_EVERY {
+            assert_eq!(d.events, t - 1, "tick {t}");
+            d.on(
+                &Event::Tick {
+                    t,
+                    contention: &contention,
+                },
+                &ledger,
+            );
         }
-        assert!(!due, "10 events must not hit the {FLUSH_EVERY} threshold");
-        let mut miss = Outcome::hit(45);
-        miss.class = AccessClass::RemoteDirty;
-        miss.miss_cause = Some(MissCause::CoherenceTrueShare);
-        miss.breakdown = LatencyBreakdown {
-            service: [5, 6, 7, 8],
-            queue: [1, 2, 3, 4],
-            other_ns: 9,
-        };
-        d.access(&miss);
-        d.access(&Outcome::hit(0));
-        d.flush();
-        let after = LIVE.snapshot();
-        assert_eq!(after.events - before.events, 10);
-        assert_eq!(after.accesses - before.accesses, 2);
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
-        assert_eq!(after.miss_causes[3] - before.miss_causes[3], 1);
-        assert_eq!(after.service_ns[2] - before.service_ns[2], 7);
-        assert_eq!(after.queue_ns[3] - before.queue_ns[3], 4);
-        assert_eq!(after.mem_stall_ns - before.mem_stall_ns, 45);
-    }
-
-    #[test]
-    fn event_reports_due_at_threshold() {
-        let mut d = LiveDelta::default();
-        for i in 1..=FLUSH_EVERY {
-            let due = d.event();
-            assert_eq!(due, i == FLUSH_EVERY, "event {i}");
-        }
-        d.flush();
-        // After a flush the threshold counter restarts.
-        assert!(!d.event());
+        assert_eq!(d.events, 0, "tick {FLUSH_EVERY} flushes");
+        assert_eq!(d.published, ledger[0]);
     }
 }

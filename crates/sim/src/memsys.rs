@@ -6,7 +6,7 @@
 //! or dirty-owner intervention, and occupancy-based queueing at every Hub,
 //! memory bank, router and metarouter the transaction touches.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::attrib::{word_mask, LatencyBreakdown, MissCause, ResourceClass};
 use crate::cache::{Cache, LineState};
@@ -127,25 +127,25 @@ pub struct MemorySystem {
     pub contention: Contention,
     /// Physical node of each process (after mapping resolution).
     proc_node: Vec<usize>,
-    /// Per-processor classification state: lines ever cached, lines lost to
-    /// invalidation (with the writer's word footprint), word footprints of
-    /// cached lines, and how evictions happened. `None` when classification
-    /// is disabled.
-    classify: Option<Vec<ClassifyState>>,
+    /// Per-processor classification state: each line's history in that
+    /// processor's cache. `None` when classification is disabled.
+    classify: Option<Vec<HashMap<u64, LineHistory>>>,
 }
 
+/// What one processor's cache has seen of one line, for classifying its
+/// next miss.
 #[derive(Debug, Default)]
-struct ClassifyState {
-    ever_cached: HashSet<u64>,
-    /// line → (invalidating writer's word mask, writer pid). A re-miss on
-    /// such a line is a coherence miss; disjoint masks make it false
-    /// sharing.
-    invalidated: HashMap<u64, (u64, u8)>,
-    /// line → words this processor touched while holding the line.
-    footprints: HashMap<u64, u64>,
-    /// line → the eviction that dropped it was a conflict (set full, cache
-    /// not full) rather than capacity.
-    evicted_conflict: HashMap<u64, bool>,
+struct LineHistory {
+    /// The line was cached here at some point.
+    ever_cached: bool,
+    /// Lost to an invalidation: (the writer's word mask, writer pid). A
+    /// re-miss is a coherence miss; disjoint masks make it false sharing.
+    invalidated: Option<(u64, u8)>,
+    /// Words this processor touched while holding the line (0: none known).
+    footprint: u64,
+    /// Dropped by an eviction that was a conflict (set full, cache not
+    /// full) rather than capacity.
+    evicted_conflict: Option<bool>,
 }
 
 impl MemorySystem {
@@ -173,7 +173,7 @@ impl MemorySystem {
             proc_node,
             classify: cfg
                 .classify_misses
-                .then(|| (0..cfg.nprocs).map(|_| ClassifyState::default()).collect()),
+                .then(|| (0..cfg.nprocs).map(|_| HashMap::new()).collect()),
         }
     }
 
@@ -291,7 +291,7 @@ impl MemorySystem {
                         self.caches[p].set_modified(line);
                     }
                     if let Some(cs) = self.classify.as_mut() {
-                        *cs[p].footprints.entry(line).or_insert(0) |= mask;
+                        cs[p].entry(line).or_default().footprint |= mask;
                     }
                     let latency = self.lat.l2_hit_ns + inflight;
                     return Outcome {
@@ -350,7 +350,7 @@ impl MemorySystem {
         } / 2;
 
         if let Some(cs) = self.classify.as_mut() {
-            *cs[p].footprints.entry(line).or_insert(0) |= mask;
+            cs[p].entry(line).or_default().footprint |= mask;
         }
         let entry = self
             .dir
@@ -364,7 +364,7 @@ impl MemorySystem {
             let qn = self.proc_node[q];
             self.caches[q].invalidate(line);
             if let Some(cs) = self.classify.as_mut() {
-                cs[q].invalidated.insert(line, (mask, p as u8));
+                cs[q].entry(line).or_default().invalidated = Some((mask, p as u8));
             }
             self.contention.hubs[qn].occupy(t, self.lat.inval_ns);
             t += self.lat.inval_ns;
@@ -411,32 +411,32 @@ impl MemorySystem {
         let _sp = crate::prof::span(crate::prof::Region::Directory);
         let mut producer: Option<u8> = None;
         let miss_cause = self.classify.as_mut().map(|cs| {
-            let st = &mut cs[p];
-            let cause = if let Some((wmask, writer)) = st.invalidated.remove(&line) {
+            let h = cs[p].entry(line).or_default();
+            let cause = if let Some((wmask, writer)) = h.invalidated.take() {
                 // Lost to an invalidation: true sharing when the writer's
                 // words overlap ours, false sharing when both footprints
                 // are known and disjoint.
-                let mine = st.footprints.get(&line).copied().unwrap_or(0);
+                let mine = h.footprint;
                 producer = Some(writer);
                 if wmask != 0 && mine != 0 && wmask & mine == 0 {
                     MissCause::CoherenceFalseShare
                 } else {
                     MissCause::CoherenceTrueShare
                 }
-            } else if let Some(conflict) = st.evicted_conflict.remove(&line) {
+            } else if let Some(conflict) = h.evicted_conflict.take() {
                 if conflict {
                     MissCause::Conflict
                 } else {
                     MissCause::Capacity
                 }
-            } else if st.ever_cached.contains(&line) {
+            } else if h.ever_cached {
                 MissCause::Capacity
             } else {
                 MissCause::Cold
             };
-            st.ever_cached.insert(line);
+            h.ever_cached = true;
             // Fresh copy: the footprint restarts at this access's words.
-            st.footprints.insert(line, mask);
+            h.footprint = mask;
             cause
         });
         let mut bd = LatencyBreakdown::default();
@@ -555,7 +555,7 @@ impl MemorySystem {
                     let qn = self.proc_node[*q];
                     self.caches[*q].invalidate(line);
                     if let Some(cs) = self.classify.as_mut() {
-                        cs[*q].invalidated.insert(line, (mask, p as u8));
+                        cs[*q].entry(line).or_default().invalidated = Some((mask, p as u8));
                     }
                     self.contention.hubs[qn].occupy(t, self.lat.inval_ns);
                     t += self.lat.inval_ns;
@@ -586,7 +586,7 @@ impl MemorySystem {
                 AccessKind::Write => {
                     self.caches[q].invalidate(line);
                     if let Some(cs) = self.classify.as_mut() {
-                        cs[q].invalidated.insert(line, (mask, p as u8));
+                        cs[q].entry(line).or_default().invalidated = Some((mask, p as u8));
                     }
                 }
             }
@@ -642,9 +642,9 @@ impl MemorySystem {
         // capacity miss, a full set with room elsewhere a conflict miss.
         let full = self.caches[p].occupancy() == self.caches[p].capacity_lines();
         if let Some(cs) = self.classify.as_mut() {
-            let st = &mut cs[p];
-            st.footprints.remove(&ev.line);
-            st.evicted_conflict.insert(ev.line, !full);
+            let h = cs[p].entry(ev.line).or_default();
+            h.footprint = 0;
+            h.evicted_conflict = Some(!full);
         }
         let victim_addr = ev.line << self.line_shift;
         let victim_home = self.pages.home_of(victim_addr, req_node);

@@ -5,13 +5,18 @@
 //! sanitizer ([`crate::sanitize`]), the critical path
 //! ([`crate::critpath`]) and the always-on live counters
 //! ([`crate::live`]). They see the run only as a stream of [`Event`]s,
-//! which the engine emits in simulation order, each kind from one place.
-//! Each observer's `on(&Event)` picks the events it needs; DESIGN.md's
-//! "Observers" table lists which.
+//! which the engine emits in simulation order, each kind from one place,
+//! beside the ledger: every processor's [`ProcStats`] so far, where each
+//! busy, sync and memory charge is counted once. Each observer's
+//! `on(&Event, &[ProcStats])` picks the events it needs, and an observer
+//! that needs a total over some stretch of the run reads it as the
+//! ledger's difference between two events instead of adding charges up
+//! itself. DESIGN.md's "Observers" table lists which.
 //!
 //! Passivity holds by construction: [`Observers::emit`] takes the event
-//! by shared reference and returns nothing, and the engine reads nothing
-//! back until [`Observers::finish`], after the last simulated nanosecond.
+//! and the ledger by shared reference and returns nothing, and the engine
+//! reads nothing back until [`Observers::finish`], after the last
+//! simulated nanosecond.
 //! `tests/observers.rs` pins it once, for all observers together.
 
 use crate::config::MachineConfig;
@@ -24,6 +29,7 @@ use crate::page::Addr;
 use crate::profile::{Profiler, RangeProfile};
 use crate::proto::MemOp;
 use crate::sanitize::{SanitizeReport, Sanitizer};
+use crate::stats::ProcStats;
 use crate::time::Ns;
 use crate::trace::{Trace, TraceBuffer};
 
@@ -47,16 +53,13 @@ pub(crate) struct Grant {
     pub grant: Ns,
 }
 
-/// `at.p`'s access of the line at `addr`, serviced with `outcome`;
-/// `cause_slot` is its miss-cause slot ([`crate::attrib::CAUSE_OTHER`]
-/// when unclassified).
+/// `at.p`'s access of the line at `addr`, serviced with `outcome`.
 #[derive(Clone, Copy)]
 pub(crate) struct LineAccess<'a> {
     pub at: At,
     pub addr: Addr,
     pub kind: AccessKind,
     pub outcome: &'a Outcome,
-    pub cause_slot: usize,
 }
 
 /// One step of a run, as the observers see it. Object ids index the
@@ -159,47 +162,50 @@ impl Observers {
         }
     }
 
-    /// Hands `ev` to every observer that is on.
+    /// Hands `ev` and the `ledger` as it stands to every observer that is
+    /// on.
     #[inline]
-    pub(crate) fn emit(&mut self, ev: &Event) {
-        self.live.on(ev);
+    pub(crate) fn emit(&mut self, ev: &Event, ledger: &[ProcStats]) {
+        self.live.on(ev, ledger);
         if let Some(t) = &mut self.trace {
-            t.on(ev);
+            t.on(ev, ledger);
         }
         if let Some(r) = &mut self.ranges {
-            r.on(ev);
+            r.on(ev, ledger);
         }
         if let Some(s) = &mut self.san {
-            s.on(ev);
+            s.on(ev, ledger);
         }
         if let Some(c) = &mut self.crit {
-            c.on(ev);
+            c.on(ev, ledger);
         }
     }
 
-    /// Ends a run whose last processor finished at `wall` (the trace takes
-    /// a final gauge sample) and collects the reports; `phase_names`
-    /// resolves interned phase ids.
+    /// Ends a run whose last processor finished at `wall` with the final
+    /// `ledger` (the trace takes a final gauge sample) and collects the
+    /// reports; `phase_names` resolves interned phase ids.
     pub(crate) fn finish(
         self,
         wall: Ns,
         contention: &Contention,
         phase_names: &[String],
+        ledger: &[ProcStats],
     ) -> Reports {
-        self.live.finish(wall);
+        self.live.finish(wall, ledger);
+        let last = Event::Tick {
+            t: wall,
+            contention,
+        };
         Reports {
             trace: self.trace.map(|mut t| {
-                t.on(&Event::Tick {
-                    t: wall,
-                    contention,
-                });
+                t.on(&last, ledger);
                 t.finish(phase_names.to_vec())
             }),
             ranges: self
                 .ranges
                 .map_or_else(Vec::new, |r| r.into_profiles(phase_names)),
             sanitize: self.san.map(|s| s.finalize(phase_names)),
-            critpath: self.crit.map(|c| c.finalize(wall, phase_names)),
+            critpath: self.crit.map(|c| c.finalize(wall, phase_names, ledger)),
         }
     }
 

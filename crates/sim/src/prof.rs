@@ -11,13 +11,11 @@
 //! reads never outweigh the work being measured — call counts stay
 //! exact, durations become scaled 1-in-2^k estimates.
 //!
-//! The engine opens a [`ThreadScope`] per run from `cfg.profile`, wraps
-//! its hot-path regions in [`span`] guards, and periodically folds the
-//! thread's aggregates into the process-wide pool ([`flush_thread`],
-//! piggybacked on the live-telemetry flush cadence). Observers read the
-//! pool with [`take`]/[`snapshot`] (resettable, for `bench perf`
-//! measurement windows) or [`cumulative`] (monotone counters, for live
-//! telemetry mirroring — same split as [`crate::live::LIVE`]).
+//! The engine opens a [`ThreadScope`] per run from `cfg.profile` and wraps
+//! its hot-path regions in [`span`] guards; closing the scope at run end
+//! folds the thread's aggregates into the process-wide pool
+//! ([`flush_thread`]). Observers read the pool with [`take`]/[`snapshot`]
+//! (resettable, for `bench perf` measurement windows).
 //!
 //! Profiling is an *observer*: it never touches simulated state, so
 //! [`crate::stats::RunStats`] is bit-identical with it on or off — the
@@ -27,7 +25,6 @@
 use crate::chrome::{us, ChromeDoc};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -210,11 +207,6 @@ struct Pool {
 
 static POOL: Mutex<Option<Pool>> = Mutex::new(None);
 
-/// Monotone, never-reset totals (self ns and calls per region) for live
-/// telemetry mirroring — the profiler's analogue of [`crate::live::LIVE`].
-static CUM_SELF_NS: [AtomicU64; N_REGIONS] = [const { AtomicU64::new(0) }; N_REGIONS];
-static CUM_CALLS: [AtomicU64; N_REGIONS] = [const { AtomicU64::new(0) }; N_REGIONS];
-
 /// Enables or disables span recording on the calling thread.
 #[inline]
 pub fn set_thread_enabled(on: bool) {
@@ -349,12 +341,11 @@ impl Drop for SpanGuard {
 }
 
 /// Folds the calling thread's closed-span aggregates into the process
-/// pool and the cumulative counters, then resets them. Raw clock units
-/// are converted to nanoseconds here, calibrated against the thread's
-/// `Instant`-measured lifetime; off-sample opens of sampled regions are
-/// folded into the call counts. Open spans are unaffected (their data
-/// is recorded when they close). Cheap when the thread has recorded
-/// nothing.
+/// pool, then resets them. Raw clock units are converted to nanoseconds
+/// here, calibrated against the thread's `Instant`-measured lifetime;
+/// off-sample opens of sampled regions are folded into the call counts.
+/// Open spans are unaffected (their data is recorded when they close).
+/// Cheap when the thread has recorded nothing.
 pub fn flush_thread() {
     TL.with(|tl| {
         let mut tl = tl.borrow_mut();
@@ -378,14 +369,10 @@ pub fn flush_thread() {
         let to_ns = |raw: u64| (raw as f64 * factor) as u64;
         let mut pool = POOL.lock().expect("prof pool lock poisoned");
         let pool = pool.get_or_insert_with(Pool::default);
-        for r in 0..N_REGIONS {
-            let calls = tl.calls[r] + extra[r];
-            let self_ns = to_ns(tl.self_raw[r]);
-            pool.calls[r] += calls;
+        for (r, extra) in extra.iter().enumerate() {
+            pool.calls[r] += tl.calls[r] + extra;
             pool.total_ns[r] += to_ns(tl.total_raw[r]);
-            pool.self_ns[r] += self_ns;
-            CUM_SELF_NS[r].fetch_add(self_ns, Ordering::Relaxed);
-            CUM_CALLS[r].fetch_add(calls, Ordering::Relaxed);
+            pool.self_ns[r] += to_ns(tl.self_raw[r]);
         }
         for &(path, raw, calls) in tl.paths.iter() {
             let e = pool.paths.entry(path).or_insert((0, 0));
@@ -475,8 +462,8 @@ pub fn snapshot() -> HostProfile {
 }
 
 /// Drains the process pool: returns everything accumulated since the
-/// last `take`/[`reset`] and clears it (the cumulative counters are
-/// unaffected). `bench perf` brackets measurement windows with this.
+/// last `take`/[`reset`] and clears it. `bench perf` brackets measurement
+/// windows with this.
 pub fn take() -> HostProfile {
     let mut pool = POOL.lock().expect("prof pool lock poisoned");
     match pool.take() {
@@ -488,15 +475,6 @@ pub fn take() -> HostProfile {
 /// Clears the process pool.
 pub fn reset() {
     let _ = take();
-}
-
-/// The monotone cumulative totals: per-region (self ns, calls). Never
-/// reset; safe to mirror into counters with a fetch-max discipline.
-pub fn cumulative() -> ([u64; N_REGIONS], [u64; N_REGIONS]) {
-    (
-        std::array::from_fn(|r| CUM_SELF_NS[r].load(Ordering::Relaxed)),
-        std::array::from_fn(|r| CUM_CALLS[r].load(Ordering::Relaxed)),
-    )
 }
 
 /// A node of the reconstructed call tree.
@@ -712,10 +690,9 @@ mod tests {
     }
 
     #[test]
-    fn take_drains_and_cumulative_is_monotone() {
+    fn take_drains_the_pool() {
         let _l = locked();
         reset();
-        let (before_ns, before_calls) = cumulative();
         {
             let _scope = thread_scope(true);
             let _s = span(Region::Trace);
@@ -723,10 +700,6 @@ mod tests {
         let p = take();
         assert_eq!(p.regions[Region::Trace.index()].calls, 1);
         assert!(take().is_empty(), "take drains the pool");
-        let (after_ns, after_calls) = cumulative();
-        let r = Region::Trace.index();
-        assert_eq!(after_calls[r], before_calls[r] + 1);
-        assert!(after_ns[r] >= before_ns[r]);
     }
 
     #[test]

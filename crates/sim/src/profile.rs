@@ -14,7 +14,7 @@
 //!
 //! Accesses that fall outside every registered range are collected under
 //! an implicit `"(unattributed)"` profile, so the per-range totals always
-//! reconcile with [`ProcStats`](crate::stats::ProcStats) the way trace
+//! reconcile with [`ProcStats`] the way trace
 //! spans already do.
 
 use std::collections::HashMap;
@@ -23,6 +23,7 @@ use crate::memsys::{AccessClass, AccessKind, Outcome};
 use crate::observe::Event;
 use crate::page::Addr;
 use crate::prof::{self, Region};
+use crate::stats::ProcStats;
 use crate::time::Ns;
 
 /// Name of the implicit catch-all profile for accesses outside every
@@ -192,8 +193,8 @@ fn hot_lines(agg: HashMap<u64, LineAgg>) -> Vec<HotLine> {
 }
 
 impl Profiler {
-    /// Attributes each access event to its range.
-    pub(crate) fn on(&mut self, ev: &Event) {
+    /// Attributes each access event to its range; the ledger is not read.
+    pub(crate) fn on(&mut self, ev: &Event, _ledger: &[ProcStats]) {
         if let Event::Access(a) = ev {
             let _sp = prof::span(Region::Attrib);
             self.attribute(a.at.p, a.addr, a.kind, a.outcome, a.at.phase);

@@ -48,6 +48,7 @@ use crate::observe::Event;
 use crate::page::Addr;
 use crate::prof::{self, Region};
 use crate::proto::OpKind;
+use crate::stats::ProcStats;
 
 /// Shadow-memory granule size for race detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -418,8 +419,8 @@ impl Sanitizer {
     }
 
     /// Feeds the engine's memory footprints and synchronization events
-    /// into the analyses.
-    pub(crate) fn on(&mut self, ev: &Event) {
+    /// into the analyses; the ledger is not read.
+    pub(crate) fn on(&mut self, ev: &Event, _ledger: &[ProcStats]) {
         match *ev {
             Event::MemOps { at, ops } => {
                 let _sp = prof::span(Region::Sanitize);

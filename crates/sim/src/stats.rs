@@ -126,6 +126,61 @@ impl ProcStats {
             100.0 * self.sync_ns() as f64 / total,
         )
     }
+
+    /// This processor's times so far, in the per-phase shape; the time
+    /// charged between two readings is their difference.
+    pub fn times(&self) -> PhaseBreakdown {
+        PhaseBreakdown {
+            busy_ns: self.busy_ns,
+            mem_ns: self.mem_ns,
+            mem_local_ns: self.mem_local_ns,
+            mem_remote_ns: self.mem_remote_ns,
+            sync_wait_ns: self.sync_wait_ns,
+            sync_op_ns: self.sync_op_ns,
+            mem_breakdown: self.mem_breakdown,
+            mem_cause_ns: self.mem_cause_ns,
+        }
+    }
+
+    /// Machine-wide totals: every counter and time of `procs` summed
+    /// (`finish_ns` too, so it is processor time, not the wall clock).
+    pub(crate) fn sum(procs: &[ProcStats]) -> ProcStats {
+        let mut t = ProcStats::default();
+        for p in procs {
+            t.busy_ns += p.busy_ns;
+            t.mem_ns += p.mem_ns;
+            t.mem_local_ns += p.mem_local_ns;
+            t.mem_remote_ns += p.mem_remote_ns;
+            t.sync_wait_ns += p.sync_wait_ns;
+            t.sync_op_ns += p.sync_op_ns;
+            t.finish_ns += p.finish_ns;
+            t.reads += p.reads;
+            t.writes += p.writes;
+            t.hits += p.hits;
+            t.misses_local += p.misses_local;
+            t.misses_remote_clean += p.misses_remote_clean;
+            t.misses_remote_dirty += p.misses_remote_dirty;
+            t.upgrades += p.upgrades;
+            t.invals_sent += p.invals_sent;
+            t.writebacks += p.writebacks;
+            t.prefetches += p.prefetches;
+            t.prefetch_late += p.prefetch_late;
+            t.lock_acquires += p.lock_acquires;
+            t.barriers += p.barriers;
+            t.atomics += p.atomics;
+            t.misses_cold += p.misses_cold;
+            t.misses_coherence += p.misses_coherence;
+            t.misses_capacity += p.misses_capacity;
+            t.misses_conflict += p.misses_conflict;
+            t.misses_false_share += p.misses_false_share;
+            t.miss_hops += p.miss_hops;
+            t.mem_breakdown.add(&p.mem_breakdown);
+            for (slot, ns) in t.mem_cause_ns.iter_mut().zip(&p.mem_cause_ns) {
+                *slot += ns;
+            }
+        }
+        t
+    }
 }
 
 /// One processor's time slice within one named phase. The same identity
@@ -175,6 +230,23 @@ impl PhaseBreakdown {
         for i in 0..CAUSE_SLOTS {
             self.mem_cause_ns[i] += o.mem_cause_ns[i];
         }
+    }
+
+    /// The time charged between an `earlier` reading of the same
+    /// processor's [`ProcStats::times`] and this one.
+    pub(crate) fn since(&self, earlier: &PhaseBreakdown) -> PhaseBreakdown {
+        let mut d = *self;
+        d.busy_ns -= earlier.busy_ns;
+        d.mem_ns -= earlier.mem_ns;
+        d.mem_local_ns -= earlier.mem_local_ns;
+        d.mem_remote_ns -= earlier.mem_remote_ns;
+        d.sync_wait_ns -= earlier.sync_wait_ns;
+        d.sync_op_ns -= earlier.sync_op_ns;
+        d.mem_breakdown.sub(&earlier.mem_breakdown);
+        for i in 0..CAUSE_SLOTS {
+            d.mem_cause_ns[i] -= earlier.mem_cause_ns[i];
+        }
+        d
     }
 }
 
@@ -280,9 +352,10 @@ impl RunStats {
         (b / n, m / n, s / n)
     }
 
-    /// Sums a counter over all processors.
+    /// Reads a counter, or a sum of counters, off the machine-wide totals
+    /// (every processor's counters summed).
     pub fn total<F: Fn(&ProcStats) -> u64>(&self, f: F) -> u64 {
-        self.procs.iter().map(f).sum()
+        f(&ProcStats::sum(&self.procs))
     }
 
     /// Looks up a phase by name (e.g. `stats.phase("force-calc")`).
@@ -294,46 +367,29 @@ impl RunStats {
     /// processor's [`ProcStats::mem_breakdown`]. Its `total()` equals the
     /// summed `mem_ns` exactly.
     pub fn mem_breakdown(&self) -> LatencyBreakdown {
-        let mut b = LatencyBreakdown::default();
-        for p in &self.procs {
-            b.add(&p.mem_breakdown);
-        }
-        b
+        ProcStats::sum(&self.procs).mem_breakdown
     }
 
     /// Machine-wide classified miss counts by [`MissCause::index`](crate::attrib::MissCause::index) slot
     /// (all zeros unless `classify_misses` was enabled).
     pub fn cause_counts(&self) -> [u64; 5] {
-        let mut c = [0u64; 5];
-        for p in &self.procs {
-            let pc = p.cause_counts();
-            for i in 0..5 {
-                c[i] += pc[i];
-            }
-        }
-        c
+        ProcStats::sum(&self.procs).cause_counts()
     }
 
     /// Machine-wide memory stall by cause slot (the five [`MissCause`](crate::attrib::MissCause)s
     /// plus [`CAUSE_OTHER`](crate::attrib::CAUSE_OTHER)); sums to the machine's total `mem_ns`.
     pub fn cause_stall_ns(&self) -> [Ns; CAUSE_SLOTS] {
-        let mut c = [0; CAUSE_SLOTS];
-        for p in &self.procs {
-            for (slot, ns) in c.iter_mut().zip(&p.mem_cause_ns) {
-                *slot += ns;
-            }
-        }
-        c
+        ProcStats::sum(&self.procs).mem_cause_ns
     }
 
     /// Average one-way network hops per miss — the run's distance-to-data
     /// (local misses count as 0 hops). 0.0 when there were no misses.
     pub fn avg_miss_hops(&self) -> f64 {
-        let misses = self.total(|p| p.misses());
-        if misses == 0 {
+        let m = ProcStats::sum(&self.procs);
+        if m.misses() == 0 {
             return 0.0;
         }
-        self.total(|p| p.miss_hops) as f64 / misses as f64
+        m.miss_hops as f64 / m.misses() as f64
     }
 }
 

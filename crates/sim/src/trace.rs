@@ -14,17 +14,17 @@
 //! doubled and adjacent samples are averaged pairwise. Merging preserves
 //! the per-(processor, kind, phase) duration totals *exactly* — only the
 //! visual resolution degrades — so an exported trace always reconciles
-//! with [`ProcStats`](crate::stats::ProcStats).
+//! with [`ProcStats`].
 //!
 //! The result is a [`Trace`], exportable as Chrome trace-event JSON
 //! (loadable in Perfetto or `chrome://tracing`).
 
-use crate::attrib::MissCause;
 use crate::chrome::{json_str, us, ChromeDoc};
 use crate::contend::Contention;
-use crate::memsys::{AccessClass, Outcome};
+use crate::memsys::Outcome;
 use crate::observe::{At, Event};
 use crate::prof::{self, Region};
+use crate::stats::ProcStats;
 use crate::time::Ns;
 
 /// Tracing knobs, carried on [`MachineConfig`](crate::config::MachineConfig).
@@ -92,7 +92,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Coarse category used for reconciliation against
-    /// [`ProcStats`](crate::stats::ProcStats): `busy`, `mem` or `sync`.
+    /// [`ProcStats`]: `busy`, `mem` or `sync`.
     /// Lock-hold and barrier-episode spans are annotations, not time
     /// charges, and report `overlay`.
     pub fn category(self) -> &'static str {
@@ -216,6 +216,24 @@ pub(crate) struct GaugeTotals {
     pub queue_wait_ns: Ns,
 }
 
+impl GaugeTotals {
+    /// The machine's counters now: access totals from the `ledger`,
+    /// resource busy times from `contention`.
+    fn read(ledger: &[ProcStats], contention: &Contention) -> Self {
+        let m = ProcStats::sum(ledger);
+        let r = contention.summary();
+        GaugeTotals {
+            accesses: m.accesses(),
+            misses: m.misses(),
+            mem_stall_ns: m.mem_ns,
+            busy_ns: [r[0].busy_ns, r[1].busy_ns, r[2].busy_ns],
+            coherence_misses: m.misses_coherence,
+            false_share_misses: m.misses_false_share,
+            queue_wait_ns: m.mem_breakdown.queue_total(),
+        }
+    }
+}
+
 const DEFAULT_EPOCH_NS: Ns = 4096;
 /// Initial merge gap once compaction starts (then grows 4× per pass).
 const FIRST_MERGE_GAP: Ns = 1024;
@@ -237,9 +255,6 @@ pub(crate) struct TraceBuffer {
     next_sample: Ns,
     last_t: Ns,
     last: GaugeTotals,
-    /// Access counters accumulated since the run started (the resource
-    /// busy times are read at each sample instead).
-    now: GaugeTotals,
     /// Instance counts of hubs, memories, routers (occupancy denominators).
     counts: [u64; 3],
     /// Virtual time each lock was last acquired, for lock-hold spans.
@@ -274,7 +289,6 @@ impl TraceBuffer {
             next_sample: epoch,
             last_t: 0,
             last: GaugeTotals::default(),
-            now: GaugeTotals::default(),
             counts: [&contention.hubs, &contention.mems, &contention.routers]
                 .map(|r| r.len() as u64),
             held_since: vec![0; nlocks],
@@ -282,8 +296,9 @@ impl TraceBuffer {
         }
     }
 
-    /// Records the spans, instants and gauges `ev` implies.
-    pub(crate) fn on(&mut self, ev: &Event) {
+    /// Records the spans and instants `ev` implies, and a gauge sample
+    /// off the `ledger` when one is due.
+    pub(crate) fn on(&mut self, ev: &Event, ledger: &[ProcStats]) {
         match *ev {
             Event::Busy { at, ns } => self.span(at.p, at.phase, SpanKind::Busy, at.t, ns, 0),
             Event::SyncOp { at, ns } => self.span(at.p, at.phase, SpanKind::SyncOp, at.t, ns, 0),
@@ -306,17 +321,14 @@ impl TraceBuffer {
             Event::Tick { t, contention } => {
                 if let Some(at) = self.gauge_due(t) {
                     let _sp = prof::span(Region::Trace);
-                    let r = contention.summary();
-                    let mut totals = self.now;
-                    totals.busy_ns = [r[0].busy_ns, r[1].busy_ns, r[2].busy_ns];
-                    self.push_gauge(at, totals);
+                    self.push_gauge(at, GaugeTotals::read(ledger, contention));
                 }
             }
             _ => {}
         }
     }
 
-    /// One access: its memory span, any instants, and the gauge counters.
+    /// One access: its memory span and any instants.
     fn access(&mut self, at: At, o: &Outcome) {
         let kind = if o.home_local {
             SpanKind::MemLocal
@@ -333,13 +345,6 @@ impl TraceBuffer {
         if o.late_prefetch {
             self.instant(at.p, at.t, InstantKind::LatePrefetch, 0);
         }
-        let g = &mut self.now;
-        g.accesses += 1;
-        g.misses += u64::from(!matches!(o.class, AccessClass::Hit | AccessClass::Upgrade));
-        g.mem_stall_ns += o.latency;
-        g.coherence_misses += u64::from(o.miss_cause.is_some_and(MissCause::is_coherence));
-        g.false_share_misses += u64::from(o.miss_cause == Some(MissCause::CoherenceFalseShare));
-        g.queue_wait_ns += o.breakdown.queue_total();
     }
 
     /// Records an interval on a processor track (or the machine track,
@@ -571,7 +576,7 @@ impl Trace {
 
     /// Exact total duration recorded for `proc` in a category
     /// (`"busy"`, `"mem"` or `"sync"`); reconciles with
-    /// [`ProcStats`](crate::stats::ProcStats) by construction.
+    /// [`ProcStats`] by construction.
     pub fn category_total(&self, proc: usize, category: &str) -> Ns {
         self.spans[proc]
             .iter()

@@ -7,10 +7,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ccnuma_sim::mapping::ProcessMapping;
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
-use scaling_study::runner::{execute_workload, StudyError};
+use scaling_study::runner::{execute_workload, sequential_config, StudyError};
 
 use crate::events::{emit, EventSink, ExecEvent};
 use crate::matrix::{scale_name, CellSpec};
@@ -41,14 +40,14 @@ enum Attempt {
 }
 
 /// The shared per-sweep execution environment: options plus the
-/// sequential-baseline cache (one baseline per app/version/problem and
-/// machine fingerprint, computed once no matter how many processor
-/// counts share it — concurrent requesters block on the same
+/// sequential-baseline cache (one baseline per workload name, problem and
+/// sequential machine fingerprint, computed once no matter how many
+/// processor counts share it — concurrent requesters block on the same
 /// [`OnceLock`] instead of duplicating the run).
 #[derive(Default)]
 pub struct Executor {
     opts: RunOptions,
-    baselines: Mutex<HashMap<String, BaselineSlot>>,
+    baselines: Mutex<HashMap<(String, String, String), BaselineSlot>>,
     events: Option<EventSink>,
 }
 
@@ -217,42 +216,23 @@ impl Executor {
         }
     }
 
-    /// The cached sequential (1-processor, linear-mapped) baseline for
-    /// the cell's workload, mirroring
-    /// [`Runner::sequential_ns`](scaling_study::runner::Runner::sequential_ns).
+    /// The cached sequential baseline for the cell's workload, under the
+    /// policy of [`Runner::sequential_ns`](scaling_study::runner::Runner::sequential_ns).
     fn baseline_ns(&self, spec: &CellSpec) -> Result<Ns, String> {
-        let mut seq_cfg = spec.machine();
-        seq_cfg.nprocs = 1;
-        seq_cfg.mapping = ProcessMapping::Linear;
-        // The baseline is the *unperturbed* sequential time: schedule
-        // exploration must compare against the same denominator, and all
-        // seeds of one cell share one cached baseline run.
-        seq_cfg.schedule = None;
-        let mut seq_spec = spec.clone();
-        seq_spec.nprocs = 1;
-        seq_spec.sched_seed = None;
-        let cache_key = format!(
-            "{}/{}/{:?}@{}",
-            spec.app,
-            spec.version,
-            spec.size,
-            seq_cfg.stable_fingerprint()
-        );
+        let w = spec
+            .workload()
+            .ok_or_else(|| format!("no workload for {}", spec.label()))?;
+        let seq_cfg = sequential_config(&spec.machine());
+        let key = (w.name(), w.problem(), seq_cfg.stable_fingerprint());
         let slot = {
             let mut map = self.baselines.lock().expect("baseline cache lock poisoned");
-            Arc::clone(map.entry(cache_key).or_default())
+            Arc::clone(map.entry(key).or_default())
         };
         slot.get_or_init(|| {
-            let run = || -> Result<Ns, String> {
-                let w = seq_spec
-                    .workload()
-                    .ok_or_else(|| format!("no workload for {}", seq_spec.label()))?;
-                let (ns, _) =
-                    execute_workload(w.as_ref(), seq_cfg.clone()).map_err(|e| e.to_string())?;
-                Ok(ns)
-            };
+            let run = || execute_workload(w.as_ref(), seq_cfg).map_err(|e| e.to_string());
             catch_unwind(AssertUnwindSafe(run))
                 .unwrap_or_else(|p| Err(format!("baseline panicked: {}", panic_message(p))))
+                .map(|(ns, _)| ns)
         })
         .clone()
     }
