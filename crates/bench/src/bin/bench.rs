@@ -4,8 +4,8 @@
 //! bench regress  [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
 //!                [--telemetry]
 //! bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//! bench perf     [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!                [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]
+//! bench perf     [--check] [--baseline <file>] [--tolerance <pct>] [--reps <k>]
+//!                [--json <file>] [--no-overhead]
 //!
 //! The three gates share one harness (study_bench::gate): each runs the
 //! pinned workload matrix and writes its baseline file, or with --check
@@ -19,37 +19,40 @@
 //!                                           queue_ns misses causes[5]
 //!   critpath  BENCH_critpath.json  -        wall_ns path[7] whatif[6] -
 //!   perf      BENCH_engine.json    events   -                         ns_per_event
+//!                                  accesses
+//!                                  dir_txns
 //!
 //! regress             the attribution snapshot (miss classification on)
 //! critpath            the critical-path snapshot (profiler on); also
 //!                     prints the on-path busy/memory/sync split and the
 //!                     headline what-if speedups
-//! perf                host throughput: the median of --reps timed
-//!                     repetitions after a discarded warmup; also
-//!                     measures the host-time overhead of each optional
-//!                     subsystem (attrib, trace, sanitize, profile, live)
-//!                     against an all-off pass
+//! perf                host throughput, one cell at a time: each cell's
+//!                     work counts (engine events, line accesses,
+//!                     directory transactions) and its host CPU per
+//!                     event, the minimum over --reps windows of at least
+//!                     200 ms of process CPU; also measures the host-CPU
+//!                     overhead of each optional subsystem (attrib,
+//!                     trace, sanitize, live) against an all-off pass
 //! --check             compare against the baseline instead of
 //!                     overwriting it; exit 1 on a violation (the fresh
 //!                     measurement lands in BENCH_*.current.json)
 //! --baseline <file>   baseline path (default: the gate's file above)
-//! --tolerance <pct>   allowed relative change per field (default 2.0;
-//!                     perf 35.0)
-//! --jobs <n>          simulate matrix points on n host threads (default
-//!                     1; regress and critpath output is bit-identical at
-//!                     any job count, perf events stay deterministic and
-//!                     timings are per-cell)
+//! --tolerance <pct>   allowed relative change per field (default 2.0);
+//!                     perf: allowed relative slowdown of a cell's
+//!                     ns/event after dividing out the machine-speed
+//!                     factor (default 35.0)
+//! --jobs <n>          (regress, critpath) simulate matrix points on n
+//!                     host threads (default 1; the output is
+//!                     bit-identical at any job count)
 //! --telemetry         (regress) measure with the full live-telemetry
 //!                     observer running (registry, rate pipeline,
 //!                     loopback HTTP server); with --check this is the
 //!                     observer-passivity gate — results must stay
 //!                     bit-identical
-//! --reps <k>          (perf) timed repetitions per cell (default 3)
+//! --reps <k>          (perf) timing windows per cell and per overhead
+//!                     mode (default 3); the minimum counts
 //! --json <file>       (perf) also write the full report (entries +
 //!                     overhead rows) to <file>
-//! --profile <file>    (perf) run one profiled pass (cfg.profile=on) and
-//!                     write the aggregate host profile as Chrome-trace
-//!                     JSON to <file> (chrome://tracing, Perfetto)
 //! --no-overhead       (perf) skip the subsystem-overhead passes
 //!
 //! bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]
@@ -169,8 +172,8 @@ fn usage(code: i32) -> ! {
         "       bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]"
     );
     eprintln!(
-        "       bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]\n\
-         \x20                  [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]"
+        "       bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--reps <k>]\n\
+         \x20                  [--json <file>] [--no-overhead]"
     );
     eprintln!(
         "       bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]\n\
@@ -239,7 +242,6 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
     let mut telemetry = false;
     let mut reps = perf::DEFAULT_REPS;
     let mut json_out: Option<PathBuf> = None;
-    let mut profile_out: Option<PathBuf> = None;
     let mut overhead = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -253,15 +255,11 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
                 Some(Ok(t)) if t >= 0.0 => tolerance = t,
                 _ => usage(2),
             },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
+            "--jobs" if !is_perf => jobs = parse_count(&mut it, "--jobs"),
             "--telemetry" if gate.verb == "regress" => telemetry = true,
             "--reps" if is_perf => reps = parse_count(&mut it, "--reps"),
             "--json" if is_perf => match it.next() {
                 Some(f) => json_out = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--profile" if is_perf => match it.next() {
-                Some(f) => profile_out = Some(PathBuf::from(f)),
                 None => usage(2),
             },
             "--no-overhead" if is_perf => overhead = false,
@@ -276,7 +274,7 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
     let current = match gate.verb {
         "regress" => measure_regress(jobs, telemetry),
         "critpath" => measure_critpath(jobs),
-        _ => measure_perf(jobs, reps, overhead, profile_out, json_out),
+        _ => measure_perf(reps, overhead, json_out),
     };
     let render = |entries: &[Entry]| {
         if is_perf {
@@ -410,21 +408,14 @@ fn measure_critpath(jobs: usize) -> Vec<Entry> {
 }
 
 /// `bench perf`: the throughput snapshot, plus the subsystem-overhead
-/// passes, the optional profiled pass, and the optional full report.
-fn measure_perf(
-    jobs: usize,
-    reps: usize,
-    overhead: bool,
-    profile_out: Option<PathBuf>,
-    json_out: Option<PathBuf>,
-) -> Vec<Entry> {
+/// passes and the optional full report.
+fn measure_perf(reps: usize, overhead: bool, json_out: Option<PathBuf>) -> Vec<Entry> {
     eprintln!(
-        "[bench] timing the pinned matrix ({}, {reps} rep(s) + warmup, {jobs} job(s))...",
+        "[bench] timing the pinned matrix ({}, min of {reps} CPU window(s) per cell)...",
         pinned_matrix()
     );
     let t0 = std::time::Instant::now();
-    let current = perf::measure_with_jobs(jobs, reps)
-        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
+    let current = perf::measure(reps).unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     eprintln!(
         "[bench] measured {} cells in {:.1?}",
         current.len(),
@@ -434,27 +425,13 @@ fn measure_perf(
 
     let overheads = overhead.then(|| {
         eprintln!(
-            "[bench] measuring optional-subsystem overhead (min of {reps} passes per mode)..."
+            "[bench] measuring optional-subsystem overhead (min of {reps} CPU window(s) per mode)..."
         );
-        let rows = perf::measure_overheads(jobs, reps)
+        let rows = perf::measure_overheads(reps)
             .unwrap_or_else(|e| fail(&format!("overhead measurement failed: {e}")));
         print!("{}", perf::overhead_table(&rows));
         rows
     });
-
-    if let Some(path) = &profile_out {
-        eprintln!("[bench] profiling one matrix pass...");
-        let p = perf::profile_matrix(jobs)
-            .unwrap_or_else(|e| fail(&format!("profiled pass failed: {e}")));
-        print!("{}", p.text_table());
-        if let Err(e) = std::fs::write(path, p.chrome_trace()) {
-            fail(&format!("cannot write {}: {e}", path.display()));
-        }
-        eprintln!(
-            "[bench] wrote Chrome-trace host profile to {}",
-            path.display()
-        );
-    }
 
     if let Some(path) = &json_out {
         let mut doc = perf::to_json(reps, &current)

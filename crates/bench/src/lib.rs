@@ -13,7 +13,7 @@
 //! |------------|----------------------|----------------------|--------------------------|
 //! | `regress`  | —                    | `wall_ns`, `mem_stall_ns`, `queue_ns`, `misses`, `causes[5]` | — |
 //! | `critpath` | —                    | `wall_ns`, `path[7]`, `whatif[6]` | — |
-//! | `perf`     | `events`             | —                    | `ns_per_event`, relative to the matrix |
+//! | `perf`     | `events`, `accesses`, `dir_txns` | — | `ns_per_event` (host CPU), relative to the matrix |
 //!
 //! [`live`] wires the `ccnuma-telemetry` registry, rate pipeline, and
 //! streaming observer into sweeps (`bench sweep --live`, `bench top`).

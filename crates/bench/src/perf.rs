@@ -1,61 +1,71 @@
 //! The engine-throughput gate behind `bench perf`: times the pinned
-//! workload matrix on the host clock, snapshots events and ns-per-event
-//! to `BENCH_engine.json`, and gates changes against the committed
-//! baseline with a *relative* tolerance (through [`crate::gate`]).
+//! workload matrix in host CPU, snapshots each cell's work counts and
+//! CPU nanoseconds per event to `BENCH_engine.json`, and gates changes
+//! against the committed baseline with a *relative* tolerance (through
+//! [`crate::gate`]).
 //!
 //! Unlike `bench regress` (which compares bit-deterministic simulated
-//! numbers), this gate measures wall-clock throughput, which varies
-//! with the host. Two things make the gate portable anyway:
+//! numbers), this gate measures host throughput, which varies with the
+//! host. Three things make the gate portable anyway:
 //!
-//! * the per-cell engine-event count is deterministic and compared
-//!   exactly ([`Check::Exact`]) — a change means the engine's work
-//!   changed, not the machine speed;
+//! * each cell's work counts — engine events, line accesses and
+//!   directory transactions — are deterministic and compared exactly
+//!   ([`Check::Exact`]): a change means the engine's work changed, not
+//!   the machine speed;
+//! * a cell is timed in process CPU (every thread's user + system time),
+//!   not on the wall clock, as the minimum over `reps` windows of at
+//!   least 200 ms of CPU each, so time spent waiting for a core neither
+//!   counts nor decides the verdict;
 //! * ns-per-event is [`Check::Slower`]: judged *after* dividing out the
 //!   matrix-wide geometric-mean speed factor between baseline and
 //!   current host, so a uniformly slower runner passes, and one-sided,
 //!   so only per-cell *relative slowdowns* fail.
+//!
+//! Where host time goes *inside* a run is simbench's per-layer metrics
+//! (`simbench/`) times these counts.
 
 use std::time::Instant;
 
 use ccnuma_sim::config::MachineConfig;
 use ccnuma_sim::json;
-use ccnuma_sim::prof::{self, HostProfile};
+use ccnuma_sim::stats::RunStats;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{execute_workload, StudyError};
 
 use crate::gate::{Check, Entry, Field, Gate};
 use crate::regress::points;
 
-/// The `bench perf` gate: per cell, the engine-event count (exact) and
-/// the median host ns per event (one-sided, relative to the matrix).
-/// The default tolerance is far looser than the accuracy gates' 2%:
-/// wall clocks on shared CI runners jitter by tens of percent.
+/// The `bench perf` gate: per cell, the work counts (exact) and the
+/// host CPU ns per event (one-sided, relative to the matrix). The
+/// default tolerance is far looser than the accuracy gates' 2%: host
+/// throughput on shared CI runners jitters by tens of percent.
 pub const GATE: Gate = Gate {
     verb: "perf",
     baseline: "BENCH_engine.json",
     tolerance: 0.35,
     fields: &[
         Field::scalar("events", Check::Exact).labelled("engine events"),
+        Field::scalar("accesses", Check::Exact).labelled("line accesses"),
+        Field::scalar("dir_txns", Check::Exact).labelled("directory transactions"),
         Field::scalar("ns_per_event", Check::Slower).labelled("ns/event"),
     ],
 };
 
-/// Default timed repetitions per cell (a discarded warmup rep runs
-/// first).
+/// Default timing windows per cell (and per overhead mode).
 pub const DEFAULT_REPS: usize = 3;
 
 /// Optional-subsystem overhead modes measured by
 /// [`measure_overheads`], in report order. `"baseline"` (all off) is
 /// implicit; `"live"` runs the full telemetry wiring (registry +
 /// refresher) beside an unmodified config.
-pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "profile", "live"];
+pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "live"];
 
 /// One row of the subsystem-overhead report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadEntry {
     /// Mode name (`"baseline"` or one of [`OVERHEAD_MODES`]).
     pub mode: &'static str,
-    /// Summed per-cell host nanoseconds for one matrix pass.
+    /// Host CPU nanoseconds of one matrix pass.
     pub total_ns: u64,
     /// Percent overhead versus the all-off baseline pass.
     pub overhead_pct: f64,
@@ -68,135 +78,172 @@ fn mode_config(np: usize, scale: Scale, mode: &str) -> MachineConfig {
         "attrib" => cfg.classify_misses = true,
         "trace" => cfg.trace = ccnuma_sim::trace::TraceConfig::on(),
         "sanitize" => cfg.sanitize.enabled = true,
-        "profile" => cfg.profile = true,
         _ => {}
     }
     cfg
 }
 
-/// Times the pinned matrix: per cell, one discarded warmup rep then
-/// `reps` timed reps, reporting the median. Cells fan out over `jobs`
-/// host threads (each cell's reps stay on one thread).
+/// The host CPU one timing window must cover. `USER_HZ` ticks are 10
+/// ms, so tick rounding moves a window by at most 5%.
+const WINDOW_NS: u64 = 200_000_000;
+
+/// This process's CPU time so far (`/proc/self/stat` utime + stime, over
+/// every thread, live or exited), in nanoseconds.
+fn process_cpu_ns() -> Option<u64> {
+    stat_cpu_ns(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// utime + stime of a `/proc/<pid>/stat` line, in nanoseconds; `None`
+/// if the line is malformed.
+fn stat_cpu_ns(stat: &str) -> Option<u64> {
+    // The command name (field 2) may hold spaces and parentheses; the
+    // fields restart after its last `)`, at field 3. utime and stime
+    // are fields 14 and 15, in `USER_HZ` (100 Hz) ticks.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) * 10_000_000)
+}
+
+/// Host CPU nanoseconds per call of `work(i)`, for every item `i < n`:
+/// the minimum over `reps` windows, each repeating `work(i)` until the
+/// process has used [`WINDOW_NS`] of CPU. Interference only ever adds
+/// time, so the minimum keeps the cleanest window. Windows run round
+/// robin — window `r` of every item before window `r + 1` of any — so a
+/// host whose speed drifts over seconds (turbo, co-tenants) exposes
+/// every item to the same fast and slow stretches. Where process CPU
+/// cannot be read, a window closes on the wall clock instead, so it
+/// always ends.
+fn min_cpu_per_call(
+    n: usize,
+    reps: usize,
+    mut work: impl FnMut(usize) -> Result<(), StudyError>,
+) -> Result<Vec<u64>, StudyError> {
+    let mut best = vec![u64::MAX; n];
+    for _ in 0..reps.max(1) {
+        for (i, best) in best.iter_mut().enumerate() {
+            let (cpu0, wall0) = (process_cpu_ns(), Instant::now());
+            let mut calls = 0u64;
+            let used = loop {
+                work(i)?;
+                calls += 1;
+                let used = match (cpu0, process_cpu_ns()) {
+                    (Some(a), Some(b)) => b.saturating_sub(a),
+                    _ => wall0.elapsed().as_nanos() as u64,
+                };
+                if used >= WINDOW_NS {
+                    break used;
+                }
+            };
+            *best = (*best).min(used / calls);
+        }
+    }
+    Ok(best)
+}
+
+/// A cell's work counts, in [`GATE`] order: engine events, line
+/// accesses (`reads + writes`) and directory transactions (`misses +
+/// upgrades`).
+fn work_counts(stats: &RunStats) -> [u64; 3] {
+    [
+        stats.events,
+        stats.total(|p| p.reads + p.writes),
+        stats.total(|p| p.misses() + p.upgrades),
+    ]
+}
+
+/// Times the pinned matrix, one cell at a time (process CPU cannot be
+/// split between cells running at once): per cell, the minimum over
+/// `reps` windows of host CPU per run, divided by its event count.
 ///
 /// # Errors
 ///
-/// Propagates the first simulation or verification failure in matrix
-/// order.
-pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<Entry>, StudyError> {
+/// Propagates the first simulation or verification failure, and fails
+/// if a cell's work counts differ between two of its runs.
+pub fn measure(reps: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
-    let reps = reps.max(1);
-    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
-        let w = basic(id, scale);
-        let cfg = mode_config(np, scale, "baseline");
-        let mut times = Vec::with_capacity(reps);
-        let mut events = 0u64;
-        for rep in 0..=reps {
-            let t = Instant::now();
-            let (_, stats) = execute_workload(w.as_ref(), cfg.clone())?;
-            let dt = t.elapsed().as_nanos() as u64;
-            debug_assert!(
-                rep == 0 || events == stats.events,
-                "events are deterministic"
-            );
-            events = stats.events;
-            if rep > 0 {
-                times.push(dt); // warmup rep discarded
-            }
+    let cells: Vec<_> = points()
+        .into_iter()
+        .map(|(id, np)| (basic(id, scale), mode_config(np, scale, "baseline")))
+        .collect();
+    let mut counts: Vec<Option<[u64; 3]>> = vec![None; cells.len()];
+    let ns = min_cpu_per_call(cells.len(), reps, |i| {
+        let (w, cfg) = &cells[i];
+        let (_, stats) = execute_workload(w.as_ref(), cfg.clone())?;
+        let now = work_counts(&stats);
+        match counts[i].replace(now) {
+            Some(was) if was != now => Err(StudyError::Verify(format!(
+                "{}/{}/{}p: work counts [events, accesses, dir_txns] changed \
+                 between runs: {was:?} then {now:?}",
+                w.name(),
+                w.problem(),
+                cfg.nprocs
+            ))),
+            _ => Ok(()),
         }
-        times.sort_unstable();
-        let median = times[times.len() / 2];
-        Ok(Entry {
-            app: w.name(),
-            problem: w.problem(),
-            nprocs: np,
-            values: vec![vec![events], vec![median / events.max(1)]],
+    })?;
+    Ok(cells
+        .iter()
+        .zip(counts)
+        .zip(ns)
+        .map(|(((w, cfg), counts), ns)| {
+            let [events, accesses, dir_txns] = counts.expect("every cell ran");
+            Entry {
+                app: w.name(),
+                problem: w.problem(),
+                nprocs: cfg.nprocs,
+                values: vec![
+                    vec![events],
+                    vec![accesses],
+                    vec![dir_txns],
+                    vec![ns / events.max(1)],
+                ],
+            }
         })
-    });
-    results.into_iter().collect()
+        .collect())
 }
 
-/// One single-rep pass over the matrix in `mode`; returns the per-cell
-/// host nanoseconds in matrix order (per-cell times keep the numbers
-/// comparable at any job count, unlike the pass's wall clock).
-fn matrix_pass(jobs: usize, mode: &str) -> Result<Vec<u64>, StudyError> {
+/// One pass over the matrix in `mode`, one cell at a time.
+fn matrix_pass(mode: &str) -> Result<(), StudyError> {
     let scale = Scale::Quick;
-    let (results, _) =
-        ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| -> Result<u64, StudyError> {
-            let w = basic(id, scale);
-            let cfg = mode_config(np, scale, mode);
-            let t = Instant::now();
-            execute_workload(w.as_ref(), cfg)?;
-            Ok(t.elapsed().as_nanos() as u64)
-        });
-    results.into_iter().collect()
+    for (id, np) in points() {
+        execute_workload(basic(id, scale).as_ref(), mode_config(np, scale, mode))?;
+    }
+    Ok(())
 }
 
-/// Measures the host-time cost of each optional subsystem by comparing
-/// a composite matrix pass of each mode against the all-off baseline.
-/// Three defenses against host noise: the composite is the sum of
-/// *per-cell minima* across passes (scheduler interference only ever
-/// adds time, and taking the minimum per cell discards it cell by cell
-/// instead of requiring one whole pass to get lucky end to end);
-/// passes are *round-robin interleaved* — pass `i` of every mode runs
-/// before pass `i+1` of any, so a machine whose speed drifts over
-/// seconds (turbo, co-tenants) exposes every mode to the same fast and
-/// slow windows; and the caller picks the pass count. The `"live"` row
-/// runs the full telemetry wiring (registry, refresher, rate pipeline)
-/// for the duration of its passes.
+/// Measures the host-CPU cost of each optional subsystem by timing a
+/// matrix pass in each mode against the all-off baseline pass, as the
+/// minimum over `reps` windows with the modes interleaved round robin.
+/// The `"live"` row runs the full telemetry wiring (registry, refresher,
+/// rate pipeline) around each of its passes.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure.
-pub fn measure_overheads(jobs: usize, passes: usize) -> Result<Vec<OverheadEntry>, StudyError> {
-    let passes = passes.max(1);
-    let n_cells = points().len();
-    let mut best = vec![vec![u64::MAX; n_cells]; OVERHEAD_MODES.len() + 1];
-    let fold = |best: &mut Vec<u64>, pass: Vec<u64>| {
-        for (b, t) in best.iter_mut().zip(pass) {
-            *b = (*b).min(t);
+pub fn measure_overheads(reps: usize) -> Result<Vec<OverheadEntry>, StudyError> {
+    let modes: Vec<&'static str> = std::iter::once("baseline")
+        .chain(OVERHEAD_MODES.iter().copied())
+        .collect();
+    let ns = min_cpu_per_call(modes.len(), reps, |i| {
+        let wiring = (modes[i] == "live")
+            .then(|| crate::live::Wiring::start(std::time::Duration::from_millis(100)));
+        let pass = matrix_pass(modes[i]);
+        if let Some(w) = wiring {
+            w.stop();
         }
-    };
-    for _ in 0..passes {
-        let pass = matrix_pass(jobs, "baseline")?;
-        fold(&mut best[0], pass);
-        for (i, &mode) in OVERHEAD_MODES.iter().enumerate() {
-            let wiring = (mode == "live")
-                .then(|| crate::live::Wiring::start(std::time::Duration::from_millis(100)));
-            let pass = matrix_pass(jobs, mode);
-            if let Some(w) = wiring {
-                w.stop();
-            }
-            fold(&mut best[i + 1], pass?);
-        }
-    }
-    let base: u64 = best[0].iter().sum();
-    let mut out = vec![OverheadEntry {
-        mode: "baseline",
-        total_ns: base,
-        overhead_pct: 0.0,
-    }];
-    for (i, &mode) in OVERHEAD_MODES.iter().enumerate() {
-        let total: u64 = best[i + 1].iter().sum();
-        out.push(OverheadEntry {
+        pass
+    })?;
+    let base = ns[0];
+    Ok(modes
+        .into_iter()
+        .zip(ns)
+        .map(|(mode, total_ns)| OverheadEntry {
             mode,
-            total_ns: total,
-            overhead_pct: 100.0 * (total as f64 / base.max(1) as f64 - 1.0),
-        });
-    }
-    Ok(out)
-}
-
-/// Runs one profiled pass over the matrix (`cfg.profile = on`) and
-/// hands back the drained aggregate host profile — the input for the
-/// Chrome-trace and collapsed-stack exports.
-///
-/// # Errors
-///
-/// Propagates the first simulation or verification failure.
-pub fn profile_matrix(jobs: usize) -> Result<HostProfile, StudyError> {
-    prof::reset();
-    matrix_pass(jobs, "profile")?;
-    Ok(prof::take())
+            total_ns,
+            overhead_pct: 100.0 * (total_ns as f64 / base.max(1) as f64 - 1.0),
+        })
+        .collect())
 }
 
 /// Serializes entries as the `BENCH_engine.json` document. The model
@@ -239,14 +286,18 @@ pub fn compare(model: &str, baseline: &[Entry], current: &[Entry], tolerance: f6
 
 /// Renders the per-cell throughput table.
 pub fn table(entries: &[Entry]) -> String {
-    let mut out =
-        String::from("cell                                    events    ns/event      Mev/s\n");
+    let mut out = format!(
+        "{:<38} {:>8} {:>9} {:>9} {:>9} {:>8}\n",
+        "cell", "events", "accesses", "dir_txns", "ns/event", "Mev/s"
+    );
     for e in entries {
         let ns = GATE.get(e, "ns_per_event")[0];
         out.push_str(&format!(
-            "{:<38} {:>8} {:>11} {:>10.2}\n",
+            "{:<38} {:>8} {:>9} {:>9} {:>9} {:>8.2}\n",
             e.key(),
             GATE.get(e, "events")[0],
+            GATE.get(e, "accesses")[0],
+            GATE.get(e, "dir_txns")[0],
             ns,
             if ns == 0 { 0.0 } else { 1e3 / ns as f64 }
         ));
@@ -256,10 +307,10 @@ pub fn table(entries: &[Entry]) -> String {
 
 /// Renders the subsystem-overhead table.
 pub fn overhead_table(rows: &[OverheadEntry]) -> String {
-    let mut out = String::from("subsystem    total host ms   overhead\n");
+    let mut out = String::from("subsystem    CPU ms/pass   overhead\n");
     for r in rows {
         out.push_str(&format!(
-            "{:<12} {:>13.1} {:>+9.1}%\n",
+            "{:<12} {:>11.1} {:>+9.1}%\n",
             r.mode,
             r.total_ns as f64 / 1e6,
             r.overhead_pct
@@ -274,14 +325,17 @@ mod tests {
 
     /// Field indices into [`Entry::values`], in [`GATE`] order.
     const EVENTS: usize = 0;
-    const NS_PER_EVENT: usize = 1;
+    const ACCESSES: usize = 1;
+    const NS_PER_EVENT: usize = 3;
 
+    /// A cell with `events` events, ten accesses and one directory
+    /// transaction per event, and `ns` per event.
     fn entry(app: &str, np: usize, events: u64, ns: u64) -> Entry {
         Entry {
             app: app.into(),
             problem: "p".into(),
             nprocs: np,
-            values: vec![vec![events], vec![ns]],
+            values: vec![vec![events], vec![10 * events], vec![events], vec![ns]],
         }
     }
 
@@ -308,6 +362,7 @@ mod tests {
         let mut cur = base.clone();
         cur[0].values[NS_PER_EVENT][0] = 600; // 3x this cell only
         cur[1].values[EVENTS][0] = 999; // deterministic count changed
+        cur[2].values[ACCESSES][0] += 1; // so is this one
         let msgs = compare(ccnuma_sim::MODEL_FINGERPRINT, &base, &cur, 0.35);
         assert!(
             msgs.iter()
@@ -317,6 +372,11 @@ mod tests {
         assert!(
             msgs.iter()
                 .any(|m| m.contains("ocean/p/8p") && m.contains("events changed")),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("radix/p/4p") && m.contains("line accesses changed")),
             "{msgs:?}"
         );
     }
@@ -370,17 +430,33 @@ mod tests {
 
     #[test]
     fn measure_covers_matrix_with_deterministic_events() {
-        let a = measure_with_jobs(2, 1).unwrap();
+        let a = measure(1).unwrap();
         assert_eq!(a.len(), points().len());
         for e in &a {
-            assert!(e.values[EVENTS][0] > 0, "{}", e.key());
-            assert!(e.values[NS_PER_EVENT][0] > 0, "{}", e.key());
+            assert!(e.values.iter().all(|v| v[0] > 0), "{}", e.key());
         }
-        // The timed half varies run to run; the event counts must not.
-        let b = measure_with_jobs(1, 1).unwrap();
-        let events = |v: &[Entry]| -> Vec<(String, u64)> {
-            v.iter().map(|e| (e.key(), e.values[EVENTS][0])).collect()
+        // The timed field varies run to run; the work counts must not.
+        let b = measure(1).unwrap();
+        let counts = |v: &[Entry]| -> Vec<(String, Vec<Vec<u64>>)> {
+            v.iter()
+                .map(|e| (e.key(), e.values[..NS_PER_EVENT].to_vec()))
+                .collect()
         };
-        assert_eq!(events(&a), events(&b), "events are jobs- and rep-invariant");
+        assert_eq!(counts(&a), counts(&b), "work counts are deterministic");
+    }
+
+    #[test]
+    fn stat_reader_skips_the_command_name_and_rejects_truncation() {
+        // utime 7 and stime 3 ticks of 10 ms, behind a command name
+        // holding spaces and a `)`.
+        let line = "1 (a b) c) R 1 1 1 0 -1 4194304 10 0 0 0 7 3 0 0 20 0 1 0 5";
+        assert_eq!(stat_cpu_ns(line), Some(100_000_000));
+        // A truncated line gives no reading, so windows fall back to the
+        // wall clock.
+        assert_eq!(
+            stat_cpu_ns("1 (a b) c) R 1 1 1 0 -1 4194304 10 0 0 0 7"),
+            None
+        );
+        assert_eq!(stat_cpu_ns("1 (a b"), None);
     }
 }

@@ -341,7 +341,6 @@ pub fn sequential_config(cfg: &MachineConfig) -> MachineConfig {
     seq.trace.enabled = false;
     seq.sanitize.enabled = false;
     seq.critpath = false;
-    seq.profile = false;
     seq
 }
 

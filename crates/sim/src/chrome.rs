@@ -1,10 +1,10 @@
 //! Shared Chrome trace-event JSON writer.
 //!
-//! Three subsystems export Chrome trace-event files — the virtual-time
-//! event trace ([`crate::trace`]), the host profiler ([`crate::prof`]) and
-//! the critical-path profiler ([`crate::critpath`]). They all speak the
-//! same dialect: an object-form document `{"traceEvents":[…],
-//! "displayTimeUnit":"ns"}` whose timestamps are fractional microseconds.
+//! Two subsystems export Chrome trace-event files — the virtual-time
+//! event trace ([`crate::trace`]) and the critical-path profiler
+//! ([`crate::critpath`]). They both speak the same dialect: an
+//! object-form document `{"traceEvents":[…], "displayTimeUnit":"ns"}`
+//! whose timestamps are fractional microseconds.
 //! This module owns that dialect — the number/string formatting and the
 //! document framing — so the emitters cannot drift apart in escaping or
 //! field format.

@@ -226,10 +226,6 @@ pub struct MachineConfig {
     /// synchronization lints (off by default; see
     /// [`SanitizeConfig`]).
     pub sanitize: SanitizeConfig,
-    /// Host-side self-profiling of the engine hot path (off by default;
-    /// see [`crate::prof`]). Measures where *wall-clock* time goes; it
-    /// never touches simulated state.
-    pub profile: bool,
     /// Critical-path profiling (off by default; see [`crate::critpath`]).
     /// Captures the run's happens-before dependency structure and reports
     /// what the longest path is made of, plus what-if speedup projections.
@@ -267,7 +263,6 @@ impl MachineConfig {
             cost: CostModel::default(),
             trace: TraceConfig::default(),
             sanitize: SanitizeConfig::default(),
-            profile: false,
             critpath: false,
             schedule: None,
         }
@@ -326,7 +321,6 @@ impl MachineConfig {
             cost: CostModel::default(),
             trace: TraceConfig::default(),
             sanitize: SanitizeConfig::default(),
-            profile: false,
             critpath: false,
             schedule: None,
         }
@@ -359,8 +353,8 @@ impl MachineConfig {
     /// shape, cache geometry, paging, latencies, topology, mapping,
     /// placement/migration, synchronization primitives, prefetch, miss
     /// classification (it adds counters to the stats), and the cost model.
-    /// Tracing, sanitizing, host profiling and critical-path profiling
-    /// are excluded — they observe a run without perturbing it. A set
+    /// Tracing, sanitizing and critical-path profiling are excluded —
+    /// they observe a run without perturbing it. A set
     /// [`MachineConfig::schedule`] *is* included (it changes results),
     /// but only when set, so unset-schedule fingerprints are unchanged.
     pub fn stable_fields(&self) -> Vec<(String, String)> {
@@ -576,9 +570,6 @@ mod tests {
         assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());
         // So is sanitizing: it never charges virtual time.
         b.sanitize = crate::sanitize::SanitizeConfig::on();
-        assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());
-        // And host profiling: it measures wall-clock, not simulated time.
-        b.profile = true;
         assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());
         b.critpath = true;
         assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());

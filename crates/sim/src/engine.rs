@@ -28,7 +28,6 @@ use crate::error::SimError;
 use crate::memsys::{AccessClass, AccessKind, MemorySystem, Outcome};
 use crate::observe::{At, Event, Grant, LineAccess, Observers};
 use crate::page::Addr;
-use crate::prof::{self, Region};
 use crate::proto::{Action, MemOp, OpKind, Reply, Request};
 use crate::schedule::Perturber;
 use crate::stats::{PhaseBreakdown, PhaseStats, ProcStats, RunStats};
@@ -156,11 +155,6 @@ impl Engine {
 
     /// Runs the event loop to completion.
     pub(crate) fn run(mut self) -> Result<RunStats, SimError> {
-        // Host-time self-profiling for this run; the scope flushes the
-        // thread's aggregates and disables recording on every exit path.
-        // Purely observational: simulated results are bit-identical with
-        // it on or off.
-        let _prof = prof::thread_scope(self.cfg.profile);
         let mut events: u64 = 0;
         let n = self.procs.len();
         loop {
@@ -223,10 +217,7 @@ impl Engine {
                     contention: &self.mem.contention,
                 };
                 self.obs.emit(&tick, &self.stats);
-                {
-                    let _sp = prof::span(Region::EngineDispatch);
-                    self.process(p);
-                }
+                self.process(p);
                 events += 1;
             } else if frontier.is_some() {
                 // Block until a running thread submits.
@@ -441,10 +432,6 @@ impl Engine {
         if ops.is_empty() {
             return;
         }
-        // One span per request's op batch, not per line: coarse enough to
-        // keep profiling overhead in the noise, fine enough to split the
-        // memory system from engine dispatch.
-        let _sp = prof::span(Region::MemsysService);
         let line_bytes = self.mem.line_bytes();
         for op in ops {
             let first = op.addr / line_bytes;

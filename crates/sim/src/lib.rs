@@ -31,9 +31,6 @@
 //!   conflict / true- and false-sharing coherence) and every stalled
 //!   nanosecond split into uncontended service vs. queueing per resource
 //!   ([`attrib`]), down to named data ranges ([`profile`]).
-//! * **Host profiling** — a near-zero-overhead scoped span profiler over
-//!   the engine's *host* (wall-clock) time ([`prof`]), behind the
-//!   observer-passive `profile` configuration knob.
 //! * **Critical path** — happens-before critical-path extraction with
 //!   exact per-phase attribution and what-if speedup projection
 //!   ([`critpath`]), behind the observer-passive `critpath` knob.
@@ -114,7 +111,6 @@ pub mod machine;
 pub mod mapping;
 pub mod memsys;
 pub mod page;
-pub mod prof;
 pub mod profile;
 pub mod sanitize;
 pub mod schedule;

@@ -23,7 +23,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::observe::Event;
-use crate::prof::{self, Region};
 use crate::stats::ProcStats;
 use crate::time::Ns;
 
@@ -162,7 +161,6 @@ impl LiveDelta {
         if let Event::Tick { .. } = ev {
             self.events += 1;
             if self.events >= FLUSH_EVERY {
-                let _sp = prof::span(Region::LiveFlush);
                 self.flush(ledger);
             }
         }

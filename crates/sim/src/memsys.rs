@@ -320,7 +320,6 @@ impl MemorySystem {
         inflight: Ns,
         mask: u64,
     ) -> Outcome {
-        let _sp = crate::prof::span(crate::prof::Region::Directory);
         let addr = line << self.line_shift;
         let home = self.pages.home_of(addr, req_node);
         let home_local = home == req_node;
@@ -406,9 +405,6 @@ impl MemorySystem {
         now: Ns,
         mask: u64,
     ) -> Outcome {
-        // Host-profiling span (observer-passive): the directory-protocol
-        // slice of memory-system service time.
-        let _sp = crate::prof::span(crate::prof::Region::Directory);
         let mut producer: Option<u8> = None;
         let miss_cause = self.classify.as_mut().map(|cs| {
             let h = cs[p].entry(line).or_default();

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use crate::memsys::{AccessClass, AccessKind, Outcome};
 use crate::observe::Event;
 use crate::page::Addr;
-use crate::prof::{self, Region};
 use crate::stats::ProcStats;
 use crate::time::Ns;
 
@@ -196,7 +195,6 @@ impl Profiler {
     /// Attributes each access event to its range; the ledger is not read.
     pub(crate) fn on(&mut self, ev: &Event, _ledger: &[ProcStats]) {
         if let Event::Access(a) = ev {
-            let _sp = prof::span(Region::Attrib);
             self.attribute(a.at.p, a.addr, a.kind, a.outcome, a.at.phase);
         }
     }

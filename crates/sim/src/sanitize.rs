@@ -46,7 +46,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::observe::Event;
 use crate::page::Addr;
-use crate::prof::{self, Region};
 use crate::proto::OpKind;
 use crate::stats::ProcStats;
 
@@ -423,7 +422,6 @@ impl Sanitizer {
     pub(crate) fn on(&mut self, ev: &Event, _ledger: &[ProcStats]) {
         match *ev {
             Event::MemOps { at, ops } => {
-                let _sp = prof::span(Region::Sanitize);
                 for op in ops.iter().filter(|op| op.kind != OpKind::Prefetch) {
                     self.access(at.p, op.addr, op.bytes, op.kind == OpKind::Write);
                 }

@@ -23,7 +23,6 @@ use crate::chrome::{json_str, us, ChromeDoc};
 use crate::contend::Contention;
 use crate::memsys::Outcome;
 use crate::observe::{At, Event};
-use crate::prof::{self, Region};
 use crate::stats::ProcStats;
 use crate::time::Ns;
 
@@ -320,7 +319,6 @@ impl TraceBuffer {
             }
             Event::Tick { t, contention } => {
                 if let Some(at) = self.gauge_due(t) {
-                    let _sp = prof::span(Region::Trace);
                     self.push_gauge(at, GaugeTotals::read(ledger, contention));
                 }
             }
