@@ -375,8 +375,8 @@ fn measure_regress(jobs: usize, telemetry: bool) -> Vec<Entry> {
         (wiring, hub)
     });
     let t0 = std::time::Instant::now();
-    let current = regress::measure_with_jobs(jobs)
-        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
+    let current =
+        regress::measure(jobs).unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     if let Some((wiring, hub)) = observer {
         wiring.stop();
         hub.shutdown();
@@ -396,8 +396,8 @@ fn measure_critpath(jobs: usize) -> Vec<Entry> {
         pinned_matrix()
     );
     let t0 = std::time::Instant::now();
-    let current = critpath::measure_with_jobs(jobs)
-        .unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
+    let current =
+        critpath::measure(jobs).unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
     eprintln!(
         "[bench] profiled {} points in {:.1?}",
         current.len(),
@@ -593,13 +593,12 @@ fn cmd_sweep(args: &[String]) -> ! {
         );
     }
     eprintln!(
-        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}, steals {}",
+        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}",
         t0.elapsed(),
         out.records.len(),
         out.executed,
         out.cached,
         out.quarantined.len(),
-        out.steals,
     );
     if !out.quarantined.is_empty() {
         for label in &out.quarantined {
@@ -740,10 +739,10 @@ fn cmd_top(args: &[String]) -> ! {
 fn cmd_sanitize(args: &[String]) -> ! {
     let mut dsl: Vec<&str> = Vec::new();
     let mut cfg = SweepConfig {
-        progress: true,
         store_path: PathBuf::from("sanitize_results.jsonl"),
         ..Default::default()
     };
+    let mut quiet = false;
     let mut out_path: Option<PathBuf> = None;
     let mut schedules: Option<u32> = None;
     let mut seed_base: Option<u64> = None;
@@ -776,7 +775,7 @@ fn cmd_sanitize(args: &[String]) -> ! {
                 Some(Ok(s)) => seed_base = Some(s),
                 _ => usage(2),
             },
-            "--quiet" => cfg.progress = false,
+            "--quiet" => quiet = true,
             "--help" | "-h" => usage(0),
             other if other.starts_with("--") => {
                 eprintln!("error: unknown flag {other:?}");
@@ -811,6 +810,8 @@ fn cmd_sanitize(args: &[String]) -> ! {
         cfg.jobs,
         cfg.store_path.display()
     );
+    let registry = ccnuma_telemetry::Registry::new();
+    cfg.events = Some(live::recorder(&registry, cells.len(), None, !quiet));
     let t0 = std::time::Instant::now();
     let out = match sweep(&matrix, &cfg) {
         Ok(o) => o,
@@ -996,7 +997,6 @@ mod tests {
             sanitizes: Vec::new(),
             critpaths: Vec::new(),
             dropped_lines: 0,
-            steals: 0,
             gauges: Vec::new(),
         };
         let doc = findings_json(dsl, &out);

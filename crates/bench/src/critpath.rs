@@ -13,10 +13,10 @@
 use ccnuma_sim::critpath::CritReport;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::report::Table;
-use scaling_study::runner::{Runner, StudyError};
+use scaling_study::runner::StudyError;
 
 use crate::gate::{Check, Entry, Field, Gate};
-use crate::regress::{points, MATRIX_APPS, MATRIX_PROCS};
+use crate::regress::points;
 
 /// Names of the seven on-path buckets, in `path` order.
 pub const PATH_NAMES: [&str; 7] = [
@@ -97,45 +97,19 @@ fn entry_from(app: String, problem: String, nprocs: usize, rep: &CritReport) -> 
 }
 
 /// Runs the pinned matrix with critical-path profiling (and miss
-/// classification, so the path's cause/resource detail is populated) and
-/// returns one entry per (app, procs) point.
-///
-/// # Errors
-///
-/// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<Entry>, StudyError> {
-    let scale = Scale::Quick;
-    let mut runner = Runner::new(scale.cache_bytes());
-    runner.set_attrib(true);
-    runner.set_critpath(true);
-    let mut out = Vec::new();
-    for &id in MATRIX_APPS {
-        let w = basic(id, scale);
-        for &np in MATRIX_PROCS {
-            let rec = runner.run(w.as_ref(), np)?;
-            let rep = rec
-                .stats
-                .critpath
-                .as_ref()
-                .expect("critpath enabled on every matrix run");
-            out.push(entry_from(rec.app, rec.problem, rec.nprocs, rep));
-        }
-    }
-    Ok(out)
-}
-
-/// [`measure`] fanned out over the sweep engine's work-stealing pool:
-/// the same pinned matrix, the same entries in the same order, each
-/// point simulated on its own host thread — and still bit-identical to
-/// [`measure`], which `measure_is_jobs_invariant` pins.
+/// classification, so the path's cause/resource detail is populated) on
+/// `jobs` host threads (the sweep engine's [pool](ccnuma_sweep::pool):
+/// workers sharing one queue) and returns one entry per (app, procs)
+/// point, in matrix order. The entries are bit-identical at any job
+/// count, which `measure_is_jobs_invariant` pins.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure in matrix
 /// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<Entry>, StudyError> {
+pub fn measure(jobs: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
-    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
+    ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
         let w = basic(id, scale);
         let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
         cfg.classify_misses = true;
@@ -146,8 +120,9 @@ pub fn measure_with_jobs(jobs: usize) -> Result<Vec<Entry>, StudyError> {
             .as_ref()
             .expect("critpath enabled on every matrix run");
         Ok(entry_from(w.name(), w.problem(), np, rep))
-    });
-    results.into_iter().collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Renders entries as the `bench critpath` summary table: on-path
@@ -174,6 +149,7 @@ pub fn table(entries: &[Entry]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
 
     fn entry(app: &str, np: usize, wall: u64) -> Entry {
         Entry {
@@ -230,7 +206,7 @@ mod tests {
 
     #[test]
     fn measure_covers_matrix_and_reconciles() {
-        let entries = measure().unwrap();
+        let entries = measure(1).unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
             let wall = GATE.get(e, "wall_ns")[0];
@@ -254,17 +230,15 @@ mod tests {
             }
         }
         // Determinism: measuring again reproduces the snapshot bit-exactly.
-        let again = measure().unwrap();
+        let again = measure(1).unwrap();
         assert_eq!(entries, again);
     }
 
     #[test]
     fn measure_is_jobs_invariant() {
-        // The parallel path must reproduce the serial snapshot bit for
-        // bit, in the same pinned order — otherwise routing `bench
-        // critpath` through the pool would churn BENCH_critpath.json.
-        let serial = measure().unwrap();
-        let parallel = measure_with_jobs(4).unwrap();
-        assert_eq!(serial, parallel);
+        // Four workers must reproduce the one-worker snapshot bit for
+        // bit, in the same pinned order — otherwise `bench critpath
+        // --jobs` would churn BENCH_critpath.json.
+        assert_eq!(measure(1).unwrap(), measure(4).unwrap());
     }
 }

@@ -1,8 +1,8 @@
 //! Live-telemetry wiring for the `bench` binary: the registry schema,
 //! the refresher that mirrors the process-wide live counters (sim
-//! engine, sweep pool, result store) into it and differentiates them
-//! into rates, the sweep lifecycle-event recorder, trace-gauge
-//! ingestion, and the `bench top` snapshot readers/renderer.
+//! engine, result store) into it and differentiates them into rates,
+//! the sweep lifecycle-event recorder, trace-gauge ingestion, and the
+//! `bench top` snapshot readers/renderer.
 //!
 //! Everything here observes; the sim and sweep layers never read any
 //! of these values back, so enabling the wiring cannot change a run
@@ -33,8 +33,8 @@ pub const CLASS_LABELS: [&str; LIVE_CLASSES] = ["hub", "memory", "directory", "n
 const RATE_TAU_S: f64 = 2.0;
 
 /// The running wiring: a registry fed by a background refresher thread
-/// that mirrors the sim/pool/store live counters every epoch and
-/// differentiates them into rate gauges.
+/// that mirrors the sim/store live counters every epoch and differentiates
+/// them into rate gauges.
 pub struct Wiring {
     /// The registry every observer (hub, tests) snapshots.
     pub registry: Registry,
@@ -119,9 +119,7 @@ impl Wiring {
             })
             .collect();
 
-        // --- sweep pool and store layer ----------------------------
-        let pool_done = r.counter("sweep_pool_tasks_done_total", "Pool tasks completed");
-        let pool_steals = r.counter("sweep_pool_steals_total", "Pool steal batches");
+        // --- sweep store layer -------------------------------------
         let store_bytes = r.counter("sweep_store_bytes_total", "Bytes appended to result stores");
         let store_recs = r.counter(
             "sweep_store_records_total",
@@ -145,7 +143,6 @@ impl Wiring {
         let epochs = r.counter("bench_epochs_total", "Refresher epochs completed");
 
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = r.clone();
         let stop2 = Arc::clone(&stop);
         let refresher = std::thread::Builder::new()
             .name("bench-live-refresh".into())
@@ -183,23 +180,6 @@ impl Wiring {
                         // transactions x (sim seconds / host seconds).
                         cr.depth
                             .set(cr.queue_rate.update(snap.queue_ns[i], dt) / 1e9);
-                    }
-                    let pl = &ccnuma_sweep::pool::LIVE;
-                    pool_done.mirror(pl.tasks_done.load(Ordering::Relaxed));
-                    pool_steals.mirror(pl.steals.load(Ordering::Relaxed));
-                    for (w, s) in pl.worker_steals.iter().enumerate() {
-                        let v = s.load(Ordering::Relaxed);
-                        if v > 0 {
-                            // Lazily registered so idle worker slots do
-                            // not clutter the exposition.
-                            registry
-                                .counter_with(
-                                    "sweep_pool_worker_steals_total",
-                                    &[("worker", &w.to_string())],
-                                    "Steal batches per worker slot",
-                                )
-                                .mirror(v);
-                        }
                     }
                     store_bytes
                         .mirror(ccnuma_sweep::store::LIVE_BYTES_APPENDED.load(Ordering::Relaxed));
@@ -638,11 +618,9 @@ pub fn render_top(rec: &EpochRecord) -> String {
         g("sweep_cell_host_ms_count"),
     ));
     out.push_str(&format!(
-        "store  {:.1} KiB in {:.0} record(s), pool {:.0} task(s), {:.0} steal(s)\n",
+        "store  {:.1} KiB in {:.0} record(s)\n",
         g("sweep_store_bytes_total") / 1024.0,
         g("sweep_store_records_total"),
-        g("sweep_pool_tasks_done_total"),
-        g("sweep_pool_steals_total"),
     ));
     out
 }

@@ -11,7 +11,7 @@ use ccnuma_sim::attrib::cause_slot_name;
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
-use scaling_study::runner::{Runner, StudyError};
+use scaling_study::runner::StudyError;
 
 use crate::gate::{Check, Entry, Field, Gate};
 
@@ -70,54 +70,28 @@ fn entry(app: String, problem: String, nprocs: usize, wall_ns: Ns, stats: &RunSt
     }
 }
 
-/// Runs the pinned matrix and returns one entry per (app, procs) point.
-///
-/// # Errors
-///
-/// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<Entry>, StudyError> {
-    let scale = Scale::Quick;
-    let mut runner = Runner::new(scale.cache_bytes());
-    runner.set_attrib(true);
-    let mut out = Vec::new();
-    for &id in MATRIX_APPS {
-        let w = basic(id, scale);
-        for &np in MATRIX_PROCS {
-            let rec = runner.run(w.as_ref(), np)?;
-            out.push(entry(
-                rec.app,
-                rec.problem,
-                rec.nprocs,
-                rec.wall_ns,
-                &rec.stats,
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// [`measure`] fanned out over the sweep engine's work-stealing pool:
-/// the same pinned matrix, the same entries in the same order, but each
-/// point simulated on its own host thread. The entries skip the
-/// sequential baselines [`Runner`] would compute (no gate field needs
-/// one), so this is strictly less work per point as well as parallel
-/// across points — and still bit-identical to [`measure`], which
-/// `measure_is_jobs_invariant` pins.
+/// Runs the pinned matrix on `jobs` host threads (the sweep engine's
+/// [pool](ccnuma_sweep::pool): workers sharing one queue) and returns
+/// one entry per (app, procs) point, in matrix order. No gate field
+/// needs a sequential baseline, so none is simulated. The entries are
+/// bit-identical at any job count, which `measure_is_jobs_invariant`
+/// pins.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure in matrix
 /// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<Entry>, StudyError> {
+pub fn measure(jobs: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
-    let (results, _) = ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
+    ccnuma_sweep::pool::run(&points(), jobs, |&(id, np)| {
         let w = basic(id, scale);
         let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
         cfg.classify_misses = true;
         let (wall_ns, stats) = scaling_study::runner::execute_workload(w.as_ref(), cfg)?;
         Ok(entry(w.name(), w.problem(), np, wall_ns, &stats))
-    });
-    results.into_iter().collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -175,7 +149,7 @@ mod tests {
 
     #[test]
     fn measure_covers_matrix_and_reconciles() {
-        let entries = measure().unwrap();
+        let entries = measure(1).unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
             let field = |name| GATE.get(e, name)[0];
@@ -184,17 +158,15 @@ mod tests {
             assert!(field("queue_ns") <= field("mem_stall_ns"), "{}", e.key());
         }
         // Determinism: measuring again reproduces the snapshot bit-exactly.
-        let again = measure().unwrap();
+        let again = measure(1).unwrap();
         assert_eq!(entries, again);
     }
 
     #[test]
     fn measure_is_jobs_invariant() {
-        // The parallel path must reproduce the serial snapshot bit for
-        // bit, in the same pinned order — otherwise routing `bench
-        // regress` through the pool would churn BENCH_attrib.json.
-        let serial = measure().unwrap();
-        let parallel = measure_with_jobs(4).unwrap();
-        assert_eq!(serial, parallel);
+        // Four workers must reproduce the one-worker snapshot bit for
+        // bit, in the same pinned order — otherwise `bench regress
+        // --jobs` would churn BENCH_attrib.json.
+        assert_eq!(measure(1).unwrap(), measure(4).unwrap());
     }
 }

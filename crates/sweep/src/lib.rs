@@ -5,11 +5,11 @@
 //! virtual time on a coordinator thread and parks the per-processor
 //! threads behind it), so the full `apps × versions × procs` matrix is
 //! embarrassingly parallel across *cells*. This crate fans the cells
-//! out over a std-only [work-stealing pool](pool), identifies every
-//! cell by a [content hash](key) of everything that determines its
-//! result, and appends finished cells to a [crash-safe JSONL
-//! store](store) — so `--resume` re-runs exactly the cells that are
-//! missing, torn, or (optionally) quarantined, and nothing else.
+//! out over a std-only [pool] of workers sharing one queue,
+//! identifies every cell by a [content hash](key) of everything that
+//! determines its result, and appends finished cells to a [crash-safe
+//! JSONL store](store) — so `--resume` re-runs exactly the cells that
+//! are missing, torn, or (optionally) quarantined, and nothing else.
 //!
 //! The pieces:
 //!
@@ -19,7 +19,7 @@
 //! - [`run`] — per-cell execution with panic isolation, timeout, and
 //!   retry ([`Executor`]);
 //! - [`store`] — the append-only JSONL result store;
-//! - [`pool`] — the work-stealing scheduler;
+//! - [`pool`] — workers sharing one first-in, first-out queue;
 //! - [`sweep`] — the driver tying them together.
 
 pub mod events;
@@ -31,9 +31,7 @@ pub mod store;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use matrix::{CellSpec, MatrixSpec};
 use run::{Executor, RunOptions};
@@ -42,8 +40,7 @@ use store::{CellRecord, Store};
 /// How a sweep should be driven.
 #[derive(Clone)]
 pub struct SweepConfig {
-    /// Worker threads (clamped to the number of pending cells; `1`
-    /// runs serially in-place).
+    /// Worker threads: at least one, at most one per pending cell.
     pub jobs: usize,
     /// Reuse the existing store: completed cells are skipped, missing
     /// or torn ones re-run. When false the store is truncated first.
@@ -61,8 +58,6 @@ pub struct SweepConfig {
     /// Directory to write per-cell Chrome/Perfetto traces into (only
     /// cells swept with `trace=on` carry a trace).
     pub trace_dir: Option<PathBuf>,
-    /// Print per-cell progress lines with an ETA to stderr.
-    pub progress: bool,
     /// Per-cell lifecycle event sink ([`events::ExecEvent`]); called
     /// from worker threads.
     pub events: Option<events::EventSink>,
@@ -78,7 +73,6 @@ impl std::fmt::Debug for SweepConfig {
             .field("opts", &self.opts)
             .field("attrib_dir", &self.attrib_dir)
             .field("trace_dir", &self.trace_dir)
-            .field("progress", &self.progress)
             .field("events", &self.events.is_some())
             .finish()
     }
@@ -94,7 +88,6 @@ impl Default for SweepConfig {
             opts: RunOptions::default(),
             attrib_dir: None,
             trace_dir: None,
-            progress: false,
             events: None,
         }
     }
@@ -124,8 +117,6 @@ pub struct SweepOutcome {
     pub critpaths: Vec<(String, ccnuma_sim::critpath::CritReport)>,
     /// Lines dropped while loading the store (torn or foreign).
     pub dropped_lines: usize,
-    /// Work-stealing batches performed by the pool.
-    pub steals: u64,
     /// Epoch-sampled machine gauges of the cells *executed this
     /// invocation* with tracing enabled, sorted by label — the same
     /// series the per-cell trace files carry, handed back so a live
@@ -180,12 +171,11 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         }
     }
     // Longest runs first: bigger simulated machines take longer, and
-    // scheduling them early keeps the tail of the sweep short.
+    // the pool's workers take cells in this order, so starting them
+    // early keeps the tail of the sweep short.
     pending.sort_by_key(|c| std::cmp::Reverse(c.nprocs));
 
     let total = pending.len();
-    let done = AtomicUsize::new(0);
-    let t0 = Instant::now();
     let mut executor = Executor::new(cfg.opts.clone());
     if let Some(sink) = &cfg.events {
         executor = executor.with_events(sink.clone());
@@ -196,7 +186,7 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
     let critpaths: Mutex<Vec<(String, ccnuma_sim::critpath::CritReport)>> = Mutex::new(Vec::new());
     let gauges: Mutex<Vec<(String, Vec<ccnuma_sim::trace::GaugeSample>)>> = Mutex::new(Vec::new());
 
-    let (ran, metrics) = pool::run(&pending, cfg.jobs, |spec| {
+    let ran = pool::run(&pending, cfg.jobs, |spec| {
         let (rec, stats) = executor.run_cell_full(spec);
         // Persist before reporting progress: once a cell is announced
         // done, a crash must not lose it.
@@ -236,18 +226,6 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
                     .expect("critpath list poisoned")
                     .push((spec.label(), rep.clone()));
             }
-        }
-        if cfg.progress {
-            let n = done.fetch_add(1, Ordering::SeqCst) + 1;
-            let elapsed = t0.elapsed();
-            let eta = elapsed.mul_f64((total - n) as f64 / n as f64);
-            eprintln!(
-                "[sweep] {n}/{total} {} ({}) {:.1}s elapsed, ~{:.1}s left",
-                rec.label,
-                rec.status.name(),
-                elapsed.as_secs_f64(),
-                eta.as_secs_f64(),
-            );
         }
         rec
     });
@@ -294,7 +272,6 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         sanitizes,
         critpaths,
         dropped_lines: store.dropped_lines,
-        steals: metrics.steals,
         gauges,
     })
 }

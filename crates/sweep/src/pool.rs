@@ -1,236 +1,84 @@
-//! A std-only work-stealing thread pool for coarse-grained tasks.
+//! A std-only thread pool for coarse-grained tasks: workers sharing one
+//! first-in, first-out queue.
 //!
-//! Each worker owns a deque of task indices; it pops from the front of
-//! its own deque and, when empty, steals the back half of the fullest
-//! victim's deque. Tasks here are whole simulations (milliseconds to
-//! minutes), so the scheduling overhead of mutex-protected deques is
-//! noise — what matters is that a worker never idles while another has
-//! a backlog, which stealing half-batches guarantees.
+//! Tasks here are whole simulations (milliseconds to minutes), so one
+//! shared queue costs nothing measurable, and a worker that finishes a
+//! task takes the next unstarted one at once: no worker idles while a
+//! task waits. A caller that wants the longest tasks first orders its
+//! items that way ([`crate::sweep`] does).
 //!
-//! Results come back in item order regardless of execution
-//! interleaving, so parallel sweeps are deterministic end to end.
+//! [`run`] fans out one fixed batch and joins; [`TaskQueue`] serves a
+//! daemon whose tasks arrive continuously. [`run`] returns its results
+//! in item order regardless of execution interleaving, so parallel
+//! sweeps are deterministic end to end.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 
-/// Counters describing one pool run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolMetrics {
-    /// Number of successful steal operations (batches, not items).
-    pub steals: u64,
-    /// Worker threads actually spawned.
-    pub workers: usize,
-}
-
-/// Worker slots tracked individually by the live counters; workers
-/// beyond this fold onto slot `w % LIVE_WORKERS`.
-pub const LIVE_WORKERS: usize = 16;
-
-/// Process-wide live pool activity, updated as tasks complete and
-/// steals happen so an external observer can watch scheduling while a
-/// sweep runs. Write-only from the pool's side.
-#[derive(Debug)]
-pub struct PoolLive {
-    /// Tasks completed (across every pool run in the process).
-    pub tasks_done: AtomicU64,
-    /// Successful steal batches.
-    pub steals: AtomicU64,
-    /// Steal batches per worker slot.
-    pub worker_steals: [AtomicU64; LIVE_WORKERS],
-}
-
-/// The process-wide pool counters.
-pub static LIVE: PoolLive = PoolLive {
-    tasks_done: AtomicU64::new(0),
-    steals: AtomicU64::new(0),
-    worker_steals: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-};
-
-/// Runs `f` over every item on `jobs` worker threads with work
-/// stealing; returns the results in item order plus scheduling
-/// metrics. `jobs` is clamped to `1..=items.len()`; `jobs <= 1` or a
-/// single item degenerates to an in-place serial loop (no threads).
-pub fn run<T, R, F>(items: &[T], jobs: usize, f: F) -> (Vec<R>, PoolMetrics)
+/// Runs `f` over every item on `jobs` scoped worker threads (clamped to
+/// `1..=items.len()`) and returns the results in item order. Each worker
+/// takes the next unstarted item from one shared counter. A panicking
+/// task reaches the caller once the other workers have drained the
+/// batch.
+pub fn run<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Send + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
-        return (
-            items
-                .iter()
-                .map(|it| {
-                    let r = f(it);
-                    LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
-                    r
-                })
-                .collect(),
-            PoolMetrics {
-                steals: 0,
-                workers: 1,
-            },
-        );
-    }
-
-    // Round-robin initial distribution; stealing corrects any imbalance.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..n).step_by(jobs).collect()))
-        .collect();
-    let remaining = AtomicUsize::new(n);
-    let steals = AtomicU64::new(0);
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
-
+    // Relaxed: the counter only hands out indices; results reach the
+    // caller through the slot mutexes and the scope's join.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            let queues = &queues;
-            let remaining = &remaining;
-            let steals = &steals;
-            let slots = &slots;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                loop {
-                    let idx = pop_or_steal(queues, w, steals);
-                    match idx {
-                        Some(i) => {
-                            // Count the item done even if `f` panics —
-                            // otherwise `remaining` never reaches zero and
-                            // the idle workers spin forever instead of
-                            // letting the panic propagate through join().
-                            struct Done<'a>(&'a AtomicUsize);
-                            impl Drop for Done<'_> {
-                                fn drop(&mut self) {
-                                    self.0.fetch_sub(1, Ordering::SeqCst);
-                                    LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            let _done = Done(remaining);
-                            let r = f(&items[i]);
-                            **slots[i].lock().expect("result slot lock poisoned") = Some(r);
-                        }
-                        None => {
-                            if remaining.load(Ordering::SeqCst) == 0 {
-                                return;
-                            }
-                            // Another worker holds the tail of the queue;
-                            // its items may yet fail and need no help.
-                            std::thread::yield_now();
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("pool worker panicked");
+        for _ in 0..jobs.clamp(1, items.len().max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return;
+                };
+                let r = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
+            });
         }
     });
-    drop(slots);
-
-    let collected: Vec<R> = results
+    slots
         .into_iter()
-        .map(|r| r.expect("worker completed without storing a result"))
-        .collect();
-    (
-        collected,
-        PoolMetrics {
-            steals: steals.load(Ordering::SeqCst),
-            workers: jobs,
-        },
-    )
-}
-
-/// Pops from worker `w`'s own deque, or steals the back half of the
-/// currently fullest other deque. Generic over the item so the batch
-/// pool (index tasks) and the persistent [`TaskQueue`] (boxed closures)
-/// share one stealing discipline.
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], w: usize, steals: &AtomicU64) -> Option<T> {
-    if let Some(i) = queues[w].lock().expect("queue lock poisoned").pop_front() {
-        return Some(i);
-    }
-    // Pick the victim with the longest queue at a glance, then take the
-    // back half of whatever it still holds under the lock.
-    let victim = queues
-        .iter()
-        .enumerate()
-        .filter(|&(v, _)| v != w)
-        .map(|(v, q)| (v, q.lock().expect("queue lock poisoned").len()))
-        .max_by_key(|&(_, len)| len)?;
-    if victim.1 == 0 {
-        return None;
-    }
-    let mut vq = queues[victim.0].lock().expect("queue lock poisoned");
-    if vq.is_empty() {
-        return None;
-    }
-    // Owner keeps the front half; a lone item is taken whole so it can't
-    // sit unexecuted behind a busy owner.
-    let keep = vq.len() / 2;
-    let mut stolen: VecDeque<T> = vq.split_off(keep);
-    drop(vq);
-    let first = stolen.pop_front();
-    if first.is_some() {
-        steals.fetch_add(1, Ordering::SeqCst);
-        LIVE.steals.fetch_add(1, Ordering::Relaxed);
-        LIVE.worker_steals[w % LIVE_WORKERS].fetch_add(1, Ordering::Relaxed);
-        if !stolen.is_empty() {
-            let mut own = queues[w].lock().expect("queue lock poisoned");
-            own.extend(stolen);
-        }
-    }
-    first
+        .map(|s| {
+            s.into_inner()
+                .expect("result slot poisoned")
+                .expect("every item ran")
+        })
+        .collect()
 }
 
 /// A unit of work for the persistent [`TaskQueue`].
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-struct QueueInner {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep gate: workers with nothing to pop or steal wait here;
-    /// every push notifies. Pushes mutate `queued` *under* the gate so
-    /// a worker cannot check-then-sleep across a concurrent push.
-    gate: Mutex<()>,
-    wake: std::sync::Condvar,
-    stop: std::sync::atomic::AtomicBool,
-    queued: AtomicUsize,
-    running: AtomicUsize,
-    panics: AtomicU64,
-    next: AtomicUsize,
-    steals: AtomicU64,
+/// The queue proper: the backlog and the stop flag, under one lock.
+#[derive(Default)]
+struct Backlog {
+    tasks: VecDeque<Task>,
+    stop: bool,
 }
 
-/// A long-lived work-stealing pool for a server: unlike [`run`], which
-/// fans out one fixed batch and joins, tasks arrive continuously
+struct QueueInner {
+    backlog: Mutex<Backlog>,
+    /// Signalled once per push and to every worker on shutdown.
+    wake: Condvar,
+    running: AtomicUsize,
+    panics: AtomicU64,
+}
+
+/// A long-lived pool for a server: unlike [`run`], which fans out one
+/// fixed batch and joins, tasks arrive continuously
 /// ([`TaskQueue::push`]) and workers live until [`TaskQueue::shutdown`].
-/// Distribution is round-robin across per-worker deques with the same
-/// steal-back-half discipline as the batch pool; a panicking task is
-/// isolated (counted, worker survives).
+/// Workers take tasks in push order from one shared queue and wait on
+/// a condition variable while it is empty; a panicking task is isolated
+/// (counted, worker survives).
 pub struct TaskQueue {
-    inner: std::sync::Arc<QueueInner>,
+    inner: Arc<QueueInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -248,24 +96,18 @@ impl std::fmt::Debug for TaskQueue {
 impl TaskQueue {
     /// Spawns `workers` (at least one) idle worker threads.
     pub fn start(workers: usize) -> TaskQueue {
-        let workers = workers.max(1);
-        let inner = std::sync::Arc::new(QueueInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(()),
-            wake: std::sync::Condvar::new(),
-            stop: std::sync::atomic::AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
+        let inner = Arc::new(QueueInner {
+            backlog: Mutex::default(),
+            wake: Condvar::new(),
             running: AtomicUsize::new(0),
             panics: AtomicU64::new(0),
-            next: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|w| {
-                let inner = std::sync::Arc::clone(&inner);
+                let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("taskq-{w}"))
-                    .spawn(move || worker_loop(&inner, w))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn task-queue worker")
             })
             .collect();
@@ -275,23 +117,26 @@ impl TaskQueue {
         }
     }
 
-    /// Enqueues one task (round-robin). Pushed after shutdown began the
-    /// task is silently dropped with the rest of the backlog.
+    /// Enqueues one task and wakes one idle worker. A task pushed after
+    /// [`TaskQueue::shutdown`] began is dropped at once.
     pub fn push(&self, task: Task) {
-        let inner = &self.inner;
-        let w = inner.next.fetch_add(1, Ordering::Relaxed) % inner.queues.len();
-        let _gate = inner.gate.lock().expect("task queue gate poisoned");
-        inner.queues[w]
-            .lock()
-            .expect("task queue deque poisoned")
-            .push_back(task);
-        inner.queued.fetch_add(1, Ordering::SeqCst);
-        inner.wake.notify_all();
+        let mut backlog = self.inner.backlog.lock().expect("task queue poisoned");
+        if backlog.stop {
+            return;
+        }
+        backlog.tasks.push_back(task);
+        drop(backlog);
+        self.inner.wake.notify_one();
     }
 
     /// Tasks enqueued but not yet picked up.
     pub fn queued(&self) -> usize {
-        self.inner.queued.load(Ordering::SeqCst)
+        self.inner
+            .backlog
+            .lock()
+            .expect("task queue poisoned")
+            .tasks
+            .len()
     }
 
     /// Tasks currently executing on a worker.
@@ -304,128 +149,108 @@ impl TaskQueue {
         self.inner.panics.load(Ordering::SeqCst)
     }
 
-    /// Successful steal batches since start.
-    pub fn steals(&self) -> u64 {
-        self.inner.steals.load(Ordering::SeqCst)
-    }
-
     /// Stops the workers and joins them: tasks already *running* finish
     /// normally, tasks still queued are dropped. Returns how many were
     /// dropped. Idempotent — a second call returns 0.
     pub fn shutdown(&self) -> usize {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = self.inner.gate.lock().expect("task queue gate poisoned");
-            self.inner.wake.notify_all();
-        }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("task queue worker list poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
+        let dropped = {
+            let mut backlog = self.inner.backlog.lock().expect("task queue poisoned");
+            backlog.stop = true;
+            std::mem::take(&mut backlog.tasks)
+        };
+        self.inner.wake.notify_all();
+        let workers = std::mem::take(
+            &mut *self
+                .workers
+                .lock()
+                .expect("task queue worker list poisoned"),
+        );
+        for h in workers {
             let _ = h.join();
         }
-        let mut dropped = 0;
-        for q in &self.inner.queues {
-            dropped += q
-                .lock()
-                .expect("task queue deque poisoned")
-                .drain(..)
-                .count();
-        }
-        self.inner.queued.fetch_sub(dropped, Ordering::SeqCst);
-        dropped
+        dropped.len()
     }
 }
 
-fn worker_loop(inner: &QueueInner, w: usize) {
+fn worker_loop(inner: &QueueInner) {
     loop {
-        // Check stop *before* popping: shutdown drops the backlog (and
-        // reports it) instead of racing the join to drain it.
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
+        let task = {
+            let backlog = inner.backlog.lock().expect("task queue poisoned");
+            let mut backlog = inner
+                .wake
+                .wait_while(backlog, |b| b.tasks.is_empty() && !b.stop)
+                .expect("task queue poisoned");
+            // Shutdown empties the backlog as it sets `stop`.
+            let Some(task) = backlog.tasks.pop_front() else {
+                return;
+            };
+            // Counted running before the lock drops, so `queued() +
+            // running()` never reads 0 while a task changes hands.
+            inner.running.fetch_add(1, Ordering::SeqCst);
+            task
+        };
+        // Isolate panics: one poisoned cell must not take the worker
+        // (and eventually the whole queue) down with it.
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
+            inner.panics.fetch_add(1, Ordering::SeqCst);
         }
-        match pop_or_steal(&inner.queues, w, &inner.steals) {
-            Some(task) => {
-                inner.queued.fetch_sub(1, Ordering::SeqCst);
-                inner.running.fetch_add(1, Ordering::SeqCst);
-                // Isolate panics: one poisoned cell must not take the
-                // worker (and eventually the whole queue) down with it.
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                if res.is_err() {
-                    inner.panics.fetch_add(1, Ordering::SeqCst);
-                }
-                inner.running.fetch_sub(1, Ordering::SeqCst);
-                LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                let gate = inner.gate.lock().expect("task queue gate poisoned");
-                if inner.queued.load(Ordering::SeqCst) == 0 && !inner.stop.load(Ordering::SeqCst) {
-                    // Bounded wait: a steal-eligible task can appear
-                    // without a notify reaching us (requeued batches),
-                    // so wake periodically regardless.
-                    let _ = inner
-                        .wake
-                        .wait_timeout(gate, std::time::Duration::from_millis(50));
-                }
-            }
-        }
+        inner.running.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
 
     #[test]
     fn results_come_back_in_item_order() {
         let items: Vec<usize> = (0..100).collect();
-        let (out, m) = run(&items, 4, |&i| i * 2);
+        let out = run(&items, 4, |&i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(m.workers, 4);
     }
 
     #[test]
     fn serial_degenerate_cases() {
         let items = [1, 2, 3];
-        let (out, m) = run(&items, 1, |&i| i + 1);
+        let out = run(&items, 1, |&i| i + 1);
         assert_eq!(out, [2, 3, 4]);
-        assert_eq!(m.workers, 1);
-        let (out, _) = run(&items, 0, |&i| i);
+        let out = run(&items, 0, |&i| i);
         assert_eq!(out, [1, 2, 3]);
         let empty: [u32; 0] = [];
-        let (out, _) = run(&empty, 8, |&i| i);
+        let out = run(&empty, 8, |&i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn jobs_clamp_to_item_count() {
         let items = [5];
-        let (out, m) = run(&items, 16, |&i| i);
+        let out = run(&items, 16, |&i| i);
         assert_eq!(out, [5]);
-        assert_eq!(m.workers, 1);
     }
 
     #[test]
-    fn idle_workers_steal_from_the_backlogged_one() {
-        // Round-robin over 2 workers: w0 gets {0, 2}, w1 gets {1, 3}.
-        // Item 0 pins w0 for a while; w1 races through its two items and
-        // must steal item 2 off w0's deque to finish early.
-        let items: Vec<u64> = vec![80, 0, 0, 0];
-        let concurrent_max = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        let (out, m) = run(&items, 2, |&ms| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            concurrent_max.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            live.fetch_sub(1, Ordering::SeqCst);
-            ms
+    fn idle_workers_run_the_queue_while_one_item_runs_long() {
+        // Two workers share the queue. Item 0 holds one of them until
+        // items 1-3 have finished (or 5 s pass), so those must run on
+        // the other worker meanwhile, not wait behind item 0.
+        let items = [true, false, false, false];
+        let (done, finished) = mpsc::channel();
+        let finished = Mutex::new(finished);
+        let out = run(&items, 2, |&slow| {
+            if slow {
+                let finished = finished.lock().unwrap();
+                (0..3).all(|_| finished.recv_timeout(Duration::from_secs(5)).is_ok())
+            } else {
+                done.send(()).unwrap();
+                true
+            }
         });
-        assert_eq!(out, items);
-        assert!(m.steals >= 1, "expected at least one steal, got {m:?}");
+        assert_eq!(
+            out, [true; 4],
+            "the three quick items finished while item 0 ran"
+        );
     }
 
     #[test]
@@ -452,7 +277,6 @@ mod tests {
         }
     }
 
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
@@ -544,27 +368,52 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_workers_steal_a_backlog() {
-        // Two workers, round-robin push: pin worker 0 with a slow task,
-        // then push enough quick tasks that some land on its deque;
-        // worker 1 must steal them rather than idle.
+    fn task_queue_drops_a_task_pushed_after_shutdown() {
+        let q = TaskQueue::start(1);
+        assert_eq!(q.shutdown(), 0);
+        let ran = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&ran);
+        q.push(Box::new(move || r.store(true, Ordering::SeqCst)));
+        assert_eq!(Arc::strong_count(&ran), 1, "the late task was dropped");
+        assert_eq!(q.queued(), 0, "a late task does not count as queued");
+        assert_eq!(q.shutdown(), 0, "a second shutdown still returns 0");
+        assert!(!ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn task_queue_workers_share_a_backlog() {
+        // Two workers. Task 0 holds one of them until the 31 quick tasks
+        // have finished (or 5 s pass), so the other must drain them.
         let q = TaskQueue::start(2);
         let done = Arc::new(AtomicUsize::new(0));
-        for i in 0..32 {
+        let quick_first = Arc::new(AtomicBool::new(false));
+        let (quick_done, finished) = mpsc::channel();
+        {
             let done = Arc::clone(&done);
+            let quick_first = Arc::clone(&quick_first);
             q.push(Box::new(move || {
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(80));
-                }
+                let all = (0..31).all(|_| finished.recv_timeout(Duration::from_secs(5)).is_ok());
+                quick_first.store(all, Ordering::SeqCst);
+                done.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        for _ in 0..31 {
+            let done = Arc::clone(&done);
+            let quick_done = quick_done.clone();
+            q.push(Box::new(move || {
+                quick_done.send(()).unwrap();
                 done.fetch_add(1, Ordering::SeqCst);
             }));
         }
         assert!(
-            wait_until(5000, || done.load(Ordering::SeqCst) == 32),
+            wait_until(10_000, || done.load(Ordering::SeqCst) == 32),
             "all tasks completed: {}",
             done.load(Ordering::SeqCst)
         );
-        assert!(q.steals() >= 1, "expected at least one steal");
+        assert!(
+            quick_first.load(Ordering::SeqCst),
+            "the 31 quick tasks finished before task 0"
+        );
         q.shutdown();
     }
 }

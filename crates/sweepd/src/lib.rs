@@ -2,8 +2,8 @@
 //!
 //! The in-process sweep engine ([`ccnuma-sweep`](ccnuma_sweep)) already
 //! has the hard parts of a production job system — content-addressed
-//! run identity, a crash-safe JSONL store, retry/quarantine, a
-//! work-stealing pool — but every client pays for its own sweep. This
+//! run identity, a crash-safe JSONL store, retry/quarantine, workers
+//! sharing one queue — but every client pays for its own sweep. This
 //! crate promotes the engine into a long-running daemon so many clients
 //! share one store: a cell any client ever simulated costs every later
 //! client a cache lookup instead of a simulation.
@@ -14,7 +14,7 @@
 //! * `POST /sweep` — body is the matrix DSL the CLI takes
 //!   (`apps=fft,ocean versions=orig procs=2,4 scale=quick`); each
 //!   expanded cell is answered from the store, joined onto an in-flight
-//!   simulation, or enqueued on the persistent work-stealing queue.
+//!   simulation, or enqueued on the persistent shared queue.
 //!   Responds immediately with the job id and the cache/enqueue split.
 //! * `GET /jobs/<id>` — full job state including every finished
 //!   [`CellRecord`](ccnuma_sweep::store::CellRecord) (null for pending).

@@ -1,5 +1,5 @@
 //! The daemon: one shared content-addressed store, one persistent
-//! work-stealing queue, many HTTP clients.
+//! queue shared by its workers, many HTTP clients.
 //!
 //! Every submitted matrix is expanded into cells and each cell resolved
 //! one of three ways, under one state lock so concurrent clients cannot
@@ -9,7 +9,7 @@
 //! 2. **In-flight join** — another job already enqueued this key; the
 //!    job is added to that key's waiter list and shares the one run.
 //! 3. **Miss** — the cell is marked in-flight and pushed onto the
-//!    work-stealing [`TaskQueue`].
+//!    shared [`TaskQueue`], which its workers drain first in, first out.
 //!
 //! Workers append finished records to the store *before* announcing
 //! them (same discipline as the in-process sweep: a crash loses at most
