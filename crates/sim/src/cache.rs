@@ -57,6 +57,8 @@ pub struct Cache {
     n_sets: usize,
     assoc: usize,
     ways: Vec<Option<Way>>,
+    /// Valid ways, kept as a count so [`Cache::occupancy`] scans nothing.
+    occupied: usize,
     clock: u64,
 }
 
@@ -75,6 +77,7 @@ impl Cache {
             n_sets,
             assoc: cfg.assoc,
             ways: vec![None; n_sets * cfg.assoc],
+            occupied: 0,
             clock: 0,
         }
     }
@@ -153,6 +156,7 @@ impl Cache {
                 ready_at,
                 stamp: clock,
             });
+            self.occupied += 1;
             return None;
         }
         // Evict LRU.
@@ -197,6 +201,7 @@ impl Cache {
                 if w.line == line {
                     let was_dirty = w.state == LineState::Modified;
                     *slot = None;
+                    self.occupied -= 1;
                     return was_dirty;
                 }
             }
@@ -206,7 +211,7 @@ impl Cache {
 
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().flatten().count()
+        self.occupied
     }
 
     /// Total line capacity (sets × associativity). An eviction while

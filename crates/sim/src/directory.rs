@@ -1,5 +1,7 @@
-//! Full-bit-vector directory state, one entry per cached line, kept at the
-//! line's home node (logically; stored centrally for the whole machine).
+//! Full-bit-vector directory state, one entry per line, kept at the line's
+//! home node (logically; stored centrally for the whole machine, in a dense
+//! table indexed by line number where an uncached line is the default
+//! entry).
 //!
 //! The protocol is MESI-flavoured, matching the Origin2000's behaviour at
 //! the fidelity the paper's analysis needs: reads of unshared lines are
@@ -58,20 +60,22 @@ impl DirEntry {
         self.sharers = 0;
     }
 
-    /// Sharers other than `p`, as processor indices.
-    pub fn other_sharers(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
-        let mask = self.sharers & !(1u128 << p);
-        (0..128).filter(move |i| mask & (1u128 << i) != 0)
+    /// Sharers other than `p`, as processor indices in ascending order.
+    /// Walks the set bits only.
+    pub fn other_sharers(&self, p: usize) -> impl Iterator<Item = usize> {
+        let mut mask = self.sharers & !(1u128 << p);
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                i
+            })
+        })
     }
 
     /// Number of sharers other than `p`.
     pub fn n_other_sharers(&self, p: usize) -> u32 {
         (self.sharers & !(1u128 << p)).count_ones()
-    }
-
-    /// True when no cache holds the line.
-    pub fn is_empty(&self) -> bool {
-        self.owner.is_none() && self.sharers == 0
     }
 }
 
@@ -92,7 +96,7 @@ mod tests {
         assert_eq!(e.state(), DirState::Exclusive(5));
         assert_eq!(e.sharers, 1 << 5);
         e.clear_owner();
-        assert!(e.is_empty());
+        assert_eq!(e, DirEntry::default());
     }
 
     #[test]
@@ -100,7 +104,26 @@ mod tests {
         let mut e = DirEntry::default();
         e.add_sharer(0);
         e.remove_sharer(0);
-        assert!(e.is_empty());
+        assert_eq!(e, DirEntry::default());
+    }
+
+    #[test]
+    fn other_sharers_walks_the_set_bits_except_p() {
+        for set in [vec![], vec![0], vec![63, 64], vec![127]] {
+            let mut e = DirEntry::default();
+            for &q in &set {
+                e.add_sharer(q);
+            }
+            for p in [0, 1, 63, 64, 127] {
+                let want: Vec<usize> = set.iter().copied().filter(|&q| q != p).collect();
+                assert_eq!(
+                    e.other_sharers(p).collect::<Vec<_>>(),
+                    want,
+                    "{set:?} p={p}"
+                );
+                assert_eq!(e.n_other_sharers(p) as usize, want.len());
+            }
+        }
     }
 
     #[test]

@@ -605,6 +605,10 @@ impl Engine {
                     self.charge_sync_op(w, wake_cost);
                     self.reply(w, 0);
                 }
+                #[cfg(debug_assertions)]
+                if let Err(e) = self.mem.validate_coherence() {
+                    panic!("coherence violated after barrier {id} released: {e}");
+                }
                 // After the woken processors' events, so the trace buffer
                 // sees its spans in the same order at any span cap.
                 let (from, to) = (first_t, release_t);

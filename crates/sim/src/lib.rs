@@ -121,6 +121,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
+mod dense;
 mod engine;
 mod observe;
 mod proto;

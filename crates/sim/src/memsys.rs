@@ -12,6 +12,7 @@ use crate::attrib::{word_mask, LatencyBreakdown, MissCause, ResourceClass};
 use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
 use crate::contend::Contention;
+use crate::dense::DenseTable;
 use crate::directory::{DirEntry, DirState};
 use crate::latency::LatencyProfile;
 use crate::page::{Addr, MigrationEvent, PageTable};
@@ -121,14 +122,18 @@ pub struct MemorySystem {
     topo: Topology,
     pages: PageTable,
     caches: Vec<Cache>,
-    dir: HashMap<u64, DirEntry>,
+    /// Line → directory entry; an uncached line reads as the default.
+    dir: DenseTable<DirEntry>,
     /// Contended resources (public so the engine can also charge
     /// synchronization traffic through them).
     pub contention: Contention,
     /// Physical node of each process (after mapping resolution).
     proc_node: Vec<usize>,
     /// Per-processor classification state: each line's history in that
-    /// processor's cache. `None` when classification is disabled.
+    /// processor's cache. `None` when classification is disabled. A map,
+    /// not a dense table: one table per processor would each span the
+    /// address range up to the sync pages, several times the memory at
+    /// 128 processors.
     classify: Option<Vec<HashMap<u64, LineHistory>>>,
 }
 
@@ -168,7 +173,7 @@ impl MemorySystem {
                 cfg.migration,
             ),
             caches: (0..cfg.nprocs).map(|_| Cache::new(cfg.cache)).collect(),
-            dir: HashMap::new(),
+            dir: DenseTable::default(),
             contention,
             proc_node,
             classify: cfg
@@ -351,15 +356,12 @@ impl MemorySystem {
         if let Some(cs) = self.classify.as_mut() {
             cs[p].entry(line).or_default().footprint |= mask;
         }
-        let entry = self
-            .dir
-            .get_mut(&line)
-            .expect("upgrade on a Shared line requires a directory entry");
-        let others: Vec<usize> = entry.other_sharers(p).collect();
+        let entry = self.dir.get_mut(line);
+        let before = *entry;
         entry.set_owner(p);
-        let invals = others.len() as u32;
+        let invals = before.n_other_sharers(p);
         let mut t = now + extra + base;
-        for q in others {
+        for q in before.other_sharers(p) {
             let qn = self.proc_node[q];
             self.caches[q].invalidate(line);
             if let Some(cs) = self.classify.as_mut() {
@@ -469,7 +471,7 @@ impl MemorySystem {
         bd.queue[MEM] += w;
 
         // Directory transaction.
-        let entry = self.dir.entry(line).or_default();
+        let entry = self.dir.get_mut(line);
         let state = entry.state();
         let (mut base, class, invals, owner) = match (kind, state) {
             (AccessKind::Read, DirState::Uncached) | (AccessKind::Write, DirState::Uncached) => {
@@ -544,14 +546,14 @@ impl MemorySystem {
             (AccessKind::Read, DirState::Shared) => entry.add_sharer(p),
             (AccessKind::Write, DirState::Uncached) => entry.set_owner(p),
             (AccessKind::Write, DirState::Shared) => {
-                let others: Vec<usize> = entry.other_sharers(p).collect();
+                let before = *entry;
                 entry.set_owner(p);
                 let mut t = now + extra + base;
-                for q in &others {
-                    let qn = self.proc_node[*q];
-                    self.caches[*q].invalidate(line);
+                for q in before.other_sharers(p) {
+                    let qn = self.proc_node[q];
+                    self.caches[q].invalidate(line);
                     if let Some(cs) = self.classify.as_mut() {
-                        cs[*q].entry(line).or_default().invalidated = Some((mask, p as u8));
+                        cs[q].entry(line).or_default().invalidated = Some((mask, p as u8));
                     }
                     self.contention.hubs[qn].occupy(t, self.lat.inval_ns);
                     t += self.lat.inval_ns;
@@ -633,11 +635,12 @@ impl MemorySystem {
     fn install(&mut self, p: usize, line: u64, state: LineState, req_node: usize, t: Ns) -> bool {
         let evicted = self.caches[p].insert(line, state, 0);
         let Some(ev) = evicted else { return false };
-        // The replacement leaves occupancy unchanged, so fullness here is
-        // fullness at eviction time: a full cache makes the re-miss a
-        // capacity miss, a full set with room elsewhere a conflict miss.
-        let full = self.caches[p].occupancy() == self.caches[p].capacity_lines();
         if let Some(cs) = self.classify.as_mut() {
+            // The replacement leaves occupancy unchanged, so fullness here
+            // is fullness at eviction time: a full cache makes the re-miss
+            // a capacity miss, a full set with room elsewhere a conflict
+            // miss.
+            let full = self.caches[p].occupancy() == self.caches[p].capacity_lines();
             let h = cs[p].entry(ev.line).or_default();
             h.footprint = 0;
             h.evicted_conflict = Some(!full);
@@ -651,30 +654,15 @@ impl MemorySystem {
                 self.contention.hubs[req_node].occupy(t, self.lat.hub_occ_ns);
                 self.contention.hubs[victim_home].occupy(t, self.lat.hub_occ_ns);
                 self.contention.mems[victim_home].occupy(t, self.lat.mem_occ_ns);
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.clear_owner();
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                self.dir.get_mut(ev.line).clear_owner();
                 true
             }
             LineState::Exclusive => {
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.clear_owner();
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                self.dir.get_mut(ev.line).clear_owner();
                 false
             }
             LineState::Shared => {
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.remove_sharer(p);
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                self.dir.get_mut(ev.line).remove_sharer(p);
                 false
             }
         }
@@ -727,79 +715,49 @@ impl MemorySystem {
         o
     }
 
-    /// Exhaustively cross-checks the directory against every cache — the
-    /// protocol's safety invariants:
+    /// Cross-checks every cache against the directory — the protocol's
+    /// safety invariants:
     ///
-    /// 1. a line with an exclusive owner has no other cached copy, and the
-    ///    owner's copy is Exclusive or Modified;
-    /// 2. a line in the Shared directory state has no Modified/Exclusive
-    ///    copy anywhere, and every cached copy is recorded as a sharer;
-    /// 3. every resident cache line has a matching directory entry.
+    /// 1. every cached copy is either the owner's Exclusive/Modified copy
+    ///    or the Shared copy of a recorded sharer (so an owned line has no
+    ///    other copy, and every Shared copy is recorded);
+    /// 2. the directory records exactly as many sharer bits as there are
+    ///    cached copies (an owner is its line's one sharer), so no entry
+    ///    keeps a stale bit for a copy that is gone.
     ///
-    /// Intended for tests and debugging (it walks every cache).
+    /// Costs one pass over the resident lines and one over the directory
+    /// table. Debug builds run it after every barrier release.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate_coherence(&self) -> Result<(), String> {
-        use crate::directory::DirState;
-        for (&line, entry) in &self.dir {
-            match entry.state() {
-                DirState::Exclusive(q) => {
-                    for (p, c) in self.caches.iter().enumerate() {
-                        match c.state_of(line) {
-                            Some(LineState::Modified | LineState::Exclusive) if p == q => {}
-                            Some(s) if p == q => {
-                                return Err(format!(
-                                    "line {line:#x}: owner {q} holds {s:?}, expected E/M"
-                                ))
-                            }
-                            Some(s) => {
-                                return Err(format!(
-                                    "line {line:#x}: exclusive at {q} but proc {p} holds {s:?}"
-                                ))
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                DirState::Shared => {
-                    for (p, c) in self.caches.iter().enumerate() {
-                        match c.state_of(line) {
-                            Some(LineState::Shared) if entry.sharers & (1u128 << p) == 0 => {
-                                return Err(format!(
-                                    "line {line:#x}: proc {p} holds S but is not a sharer"
-                                ));
-                            }
-                            Some(LineState::Shared) => {}
-                            Some(s) => {
-                                return Err(format!(
-                                    "line {line:#x}: dir Shared but proc {p} holds {s:?}"
-                                ))
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                DirState::Uncached => {
-                    for (p, c) in self.caches.iter().enumerate() {
-                        if let Some(s) = c.state_of(line) {
-                            return Err(format!(
-                                "line {line:#x}: dir Uncached but proc {p} holds {s:?}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        let mut copies = 0usize;
         for (p, c) in self.caches.iter().enumerate() {
             for (line, state) in c.resident_lines() {
-                if !self.dir.contains_key(&line) {
+                let e = self.dir.get(line).copied().unwrap_or_default();
+                let recorded = match (e.owner, state) {
+                    (Some(q), LineState::Exclusive | LineState::Modified) => q as usize == p,
+                    (None, LineState::Shared) => e.sharers & (1u128 << p) != 0,
+                    _ => false,
+                };
+                if !recorded {
                     return Err(format!(
-                        "line {line:#x}: proc {p} holds {state:?} with no directory entry"
+                        "line {line:#x}: proc {p} holds {state:?} but the directory has {e:?}"
                     ));
                 }
+                copies += 1;
             }
+        }
+        let bits: usize = self
+            .dir
+            .iter()
+            .map(|(_, e)| e.sharers.count_ones() as usize)
+            .sum();
+        if bits != copies {
+            return Err(format!(
+                "the directory records {bits} sharer bit(s) but the caches hold {copies} cop(ies)"
+            ));
         }
         Ok(())
     }
@@ -1065,6 +1023,29 @@ mod tests {
             backlog - flight
         );
         assert_eq!(c.latency - q.latency, backlog - flight);
+    }
+
+    #[test]
+    fn validate_coherence_catches_a_stale_sharer_bit() {
+        let mut m = memsys(4);
+        m.access(0, 0x1000, AccessKind::Read, 0);
+        m.access(2, 0x1000, AccessKind::Read, 1_000); // both Shared
+        m.validate_coherence().unwrap();
+        // A bit for a copy proc 3 never had, on a shared line...
+        let mut stale = m.dir.get(m.line_of(0x1000)).copied().unwrap();
+        stale.add_sharer(3);
+        *m.dir.get_mut(m.line_of(0x1000)) = stale;
+        let e = m.validate_coherence().unwrap_err();
+        assert!(
+            e.contains("3 sharer bit(s)") && e.contains("2 cop(ies)"),
+            "{e}"
+        );
+        // ...and on a line no cache holds, as an uncleared entry would be.
+        stale.remove_sharer(3);
+        *m.dir.get_mut(m.line_of(0x1000)) = stale;
+        m.validate_coherence().unwrap();
+        m.dir.get_mut(m.line_of(0x9000)).add_sharer(1);
+        assert!(m.validate_coherence().is_err());
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! too big for one node's memory makes the *sequential* run pay remote
 //! latency).
 
-use std::collections::HashMap;
-
 use crate::config::{MigrationConfig, PagePlacement};
+use crate::dense::DenseTable;
 
 /// A simulated byte address.
 pub type Addr = u64;
@@ -41,7 +40,8 @@ pub struct PageTable {
     n_nodes: usize,
     placement: PagePlacement,
     migration: Option<MigrationConfig>,
-    pages: HashMap<u64, PageInfo>,
+    /// Page → its placement; `None` until the page is homed.
+    pages: DenseTable<Option<PageInfo>>,
     /// Pages resident per node (for capacity spill).
     used: Vec<u64>,
     capacity_pages: u64,
@@ -69,7 +69,7 @@ impl PageTable {
             n_nodes,
             placement,
             migration,
-            pages: HashMap::new(),
+            pages: DenseTable::default(),
             used: vec![0; n_nodes],
             capacity_pages: (mem_per_node_bytes / page_bytes) as u64,
             rr_next: 0,
@@ -109,14 +109,11 @@ impl PageTable {
         let counters = self
             .migration
             .map(|_| vec![0u32; self.n_nodes].into_boxed_slice());
-        self.pages.insert(
-            page,
-            PageInfo {
-                home,
-                counters,
-                since_migrate: 0,
-            },
-        );
+        *self.pages.get_mut(page) = Some(PageInfo {
+            home,
+            counters,
+            since_migrate: 0,
+        });
         home
     }
 
@@ -134,7 +131,7 @@ impl PageTable {
         let first = self.page_of(base);
         let last = self.page_of(base + len - 1);
         for page in first..=last {
-            if let Some(info) = self.pages.remove(&page) {
+            if let Some(info) = self.pages.get_mut(page).take() {
                 self.used[info.home] -= 1;
             }
             self.install(page, node);
@@ -146,7 +143,7 @@ impl PageTable {
     /// node of the requesting processor.
     pub fn home_of(&mut self, addr: Addr, toucher_node: usize) -> usize {
         let page = self.page_of(addr);
-        if let Some(info) = self.pages.get(&page) {
+        if let Some(Some(info)) = self.pages.get(page) {
             return info.home;
         }
         let preferred = match self.placement {
@@ -168,7 +165,7 @@ impl PageTable {
             return MigrationEvent::None;
         };
         let page = self.page_of(addr);
-        let Some(info) = self.pages.get_mut(&page) else {
+        let Some(info) = self.pages.get_mut(page) else {
             return MigrationEvent::None;
         };
         let Some(counters) = info.counters.as_mut() else {

@@ -42,8 +42,9 @@
 //! `Sanitizer` directly (e.g. to exercise barrier divergence, which in
 //! a real run deadlocks the engine before statistics exist).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::dense::DenseTable;
 use crate::observe::Event;
 use crate::page::Addr;
 use crate::proto::OpKind;
@@ -201,6 +202,8 @@ struct Shadow {
     /// granule are suppressed so a single racy array does not flood the
     /// report.
     reported: bool,
+    /// The fetch&add cell at this granule, for the atomic/plain-mix lint.
+    cell: Option<usize>,
 }
 
 impl Default for Shadow {
@@ -211,6 +214,7 @@ impl Default for Shadow {
             write_ctx: None,
             read_ctxs: Vec::new(),
             reported: false,
+            cell: None,
         }
     }
 }
@@ -373,9 +377,8 @@ pub struct Sanitizer {
     barrier_arrived: Vec<Vec<usize>>,
     sem_clock: Vec<VectorClock>,
     cell_clock: Vec<VectorClock>,
-    /// Granule index → fetch-cell id, for the atomic/plain-mix lint.
-    cell_granules: HashMap<u64, usize>,
-    shadow: HashMap<u64, Shadow>,
+    /// Granule index → shadow state.
+    shadow: DenseTable<Shadow>,
     raw_races: Vec<(u64, RawAccess, RawAccess)>,
     lock_edges: BTreeSet<(usize, usize)>,
     lints: Vec<LintFinding>,
@@ -409,8 +412,7 @@ impl Sanitizer {
             barrier_arrived: Vec::new(),
             sem_clock: Vec::new(),
             cell_clock: Vec::new(),
-            cell_granules: HashMap::new(),
-            shadow: HashMap::new(),
+            shadow: DenseTable::default(),
             raw_races: Vec::new(),
             lock_edges: BTreeSet::new(),
             lints: Vec::new(),
@@ -443,7 +445,7 @@ impl Sanitizer {
     /// Registers the memory address of fetch&add cell `id` so plain
     /// accesses to it can be linted.
     pub fn register_fetch_cell(&mut self, id: usize, addr: Addr) {
-        self.cell_granules.insert(addr / self.gbytes, id);
+        self.shadow.get_mut(addr / self.gbytes).cell = Some(id);
     }
 
     /// Sets processor `p`'s current phase id (for finding context; ids
@@ -476,7 +478,7 @@ impl Sanitizer {
         let first = addr / self.gbytes;
         let last = (addr + bytes - 1) / self.gbytes;
         for g in first..=last {
-            if let Some(&cell) = self.cell_granules.get(&g) {
+            if let Some(cell) = self.shadow.get(g).and_then(|st| st.cell) {
                 self.lint(
                     LintKind::AtomicPlainMix,
                     format!(
@@ -500,7 +502,7 @@ impl Sanitizer {
                 proc: p as u32,
                 clock: clock.get(p),
             };
-            let st = self.shadow.entry(g).or_default();
+            let st = self.shadow.get_mut(g);
             // Conflict checks: a prior access races with this one when it
             // is not ordered before it by the vector clock and at least
             // one of the two writes.

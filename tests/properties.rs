@@ -86,15 +86,22 @@ fn cache_occupancy_never_exceeds_capacity() {
         let n = 1 + rng.below(299);
         for _ in 0..n {
             let line = rng.below(512);
-            let state = if rng.below(2) == 1 {
-                LineState::Modified
+            if rng.below(4) == 0 {
+                c.invalidate(line);
+                assert!(c.state_of(line).is_none());
             } else {
-                LineState::Shared
-            };
-            c.insert(line, state, 0);
+                let state = if rng.below(2) == 1 {
+                    LineState::Modified
+                } else {
+                    LineState::Shared
+                };
+                c.insert(line, state, 0);
+                // An inserted line is immediately visible.
+                assert!(c.state_of(line).is_some());
+            }
+            // Inserts into full sets evict; the kept count must track it.
+            assert_eq!(c.occupancy(), c.resident_lines().len());
             assert!(c.occupancy() <= capacity);
-            // An inserted line is immediately visible.
-            assert!(c.state_of(line).is_some());
         }
     }
 }
