@@ -10,7 +10,9 @@
 //! Memory operations are buffered and merged client-side (adjacent
 //! same-kind accesses coalesce) and flushed to the engine in batches; every
 //! synchronization operation flushes first, so ordering across
-//! synchronization points is exact.
+//! synchronization points is exact. Calls whose reply carries nothing
+//! (`flush`, `phase`, `unlock`, `sem_post`) are posted: they return without
+//! waiting, up to [`MAX_OUTSTANDING`] requests ahead of the engine.
 
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{Receiver, Sender};
@@ -23,6 +25,10 @@ use crate::time::Ns;
 
 /// How many buffered memory operations trigger an automatic flush.
 const FLUSH_THRESHOLD: usize = 64;
+
+/// The most requests a processor may have outstanding: every
+/// `MAX_OUTSTANDING`-th consecutive post waits for the engine's reply.
+pub const MAX_OUTSTANDING: usize = 8;
 
 /// The interface a simulated processor exposes to application code.
 ///
@@ -41,6 +47,8 @@ pub struct Ctx {
     busy: Cell<Ns>,
     ops: RefCell<Vec<MemOp>>,
     san: RefCell<Vec<MemOp>>,
+    /// Posts since the last request that waited for a reply.
+    posted: Cell<usize>,
     tx: Sender<(usize, Request)>,
     rx: Receiver<Reply>,
 }
@@ -63,6 +71,7 @@ impl Ctx {
             busy: Cell::new(0),
             ops: RefCell::new(Vec::with_capacity(FLUSH_THRESHOLD + 1)),
             san: RefCell::new(Vec::new()),
+            posted: Cell::new(0),
             tx,
             rx,
         }
@@ -177,25 +186,43 @@ impl Ctx {
     }
 
     /// A request carrying all buffered work, then `action`.
-    fn request(&self, action: Action) -> Request {
+    fn request(&self, action: Action, wait: bool) -> Request {
+        // A full-size buffer for each new batch: regrowing one from empty
+        // while batches are in flight raised peak RSS (EXPERIMENTS.md).
+        let ops = if self.ops.borrow().is_empty() {
+            Vec::new()
+        } else {
+            self.ops.replace(Vec::with_capacity(FLUSH_THRESHOLD + 1))
+        };
         Request {
             busy: self.busy.replace(0),
-            ops: std::mem::take(&mut *self.ops.borrow_mut()),
+            ops,
             san: std::mem::take(&mut *self.san.borrow_mut()),
             action,
+            wait,
         }
     }
 
-    /// Sends the buffered work and `action`, blocking until the engine
-    /// has carried them out in virtual time.
-    fn send(&self, action: Action) -> Reply {
-        if self.tx.send((self.id, self.request(action))).is_err() {
+    /// Sends the buffered work and `action`; with `wait`, blocks until the engine has carried
+    /// them out (and every earlier post) and returns the reply's value, else returns 0.
+    fn send(&self, action: Action, wait: bool) -> i64 {
+        if self.tx.send((self.id, self.request(action, wait))).is_err() {
             std::panic::panic_any(crate::proto::EngineGone);
         }
+        if !wait {
+            return 0;
+        }
+        self.posted.set(0);
         match self.rx.recv() {
-            Ok(r) => r,
+            Ok(r) => r.value,
             Err(_) => std::panic::panic_any(crate::proto::EngineGone),
         }
+    }
+
+    /// Sends `action`, waiting only if it is the [`MAX_OUTSTANDING`]-th post in a row.
+    fn post(&self, action: Action) {
+        self.posted.set(self.posted.get() + 1);
+        self.send(action, self.posted.get() == MAX_OUTSTANDING);
     }
 
     /// Flushes buffered computation and memory operations to the engine,
@@ -205,7 +232,7 @@ impl Ctx {
         if self.busy.get() == 0 && self.ops.borrow().is_empty() {
             return;
         }
-        self.send(Action::Flush);
+        self.post(Action::Flush);
     }
 
     // ---- phases ----------------------------------------------------------
@@ -217,19 +244,19 @@ impl Ctx {
     /// tracing is enabled, label the exported timeline. Marking the same
     /// name again re-enters that phase (phase ids are interned by name).
     pub fn phase(&self, name: &str) {
-        self.send(Action::Phase(name.to_string()));
+        self.post(Action::Phase(name.to_string()));
     }
 
     // ---- synchronization ---------------------------------------------------
 
     /// Waits until every processor has arrived at barrier `b`.
     pub fn barrier(&self, b: BarrierRef) {
-        self.send(Action::Barrier(b.0 as usize));
+        self.send(Action::Barrier(b.0 as usize), true);
     }
 
     /// Acquires lock `l`, blocking in virtual time while it is held.
     pub fn lock(&self, l: LockRef) {
-        self.send(Action::Lock(l.0 as usize));
+        self.send(Action::Lock(l.0 as usize), true);
     }
 
     /// Releases lock `l`.
@@ -238,7 +265,7 @@ impl Ctx {
     ///
     /// The simulation fails if the calling processor does not hold `l`.
     pub fn unlock(&self, l: LockRef) {
-        self.send(Action::Unlock(l.0 as usize));
+        self.post(Action::Unlock(l.0 as usize));
     }
 
     /// Runs `f` with lock `l` held.
@@ -253,23 +280,23 @@ impl Ctx {
     /// value. The cost model follows the configured lock primitive (LL/SC
     /// read-modify-write or at-memory fetch&op).
     pub fn fetch_add(&self, c: FetchCellRef, delta: i64) -> i64 {
-        self.send(Action::FetchAdd(c.0 as usize, delta)).value
+        self.send(Action::FetchAdd(c.0 as usize, delta), true)
     }
 
     /// Decrements semaphore `s`, blocking in virtual time while it is zero.
     pub fn sem_wait(&self, s: SemRef) {
-        self.send(Action::SemWait(s.0 as usize));
+        self.send(Action::SemWait(s.0 as usize), true);
     }
 
     /// Increments semaphore `s` by `n`, waking blocked waiters.
     pub fn sem_post(&self, s: SemRef, n: u32) {
-        self.send(Action::SemPost(s.0 as usize, n));
+        self.post(Action::SemPost(s.0 as usize, n));
     }
 
     /// Called by the runtime when the body returns or panics: sends the
     /// final request without waiting for a reply.
     pub(crate) fn finish(&self, action: Action) {
-        let _ = self.tx.send((self.id, self.request(action)));
+        let _ = self.tx.send((self.id, self.request(action, false)));
     }
 }
 

@@ -2,9 +2,12 @@
 //!
 //! One OS thread runs each simulated processor's application body. The
 //! engine advances virtual time by processing thread requests in virtual
-//! time order: a request is only processed once every unblocked thread has
-//! submitted its next request (so no earlier-in-virtual-time work can still
-//! appear), which makes runs deterministic regardless of host scheduling.
+//! time order: a request is only processed once every running thread has
+//! submitted its next request, so no earlier-in-virtual-time work can still
+//! appear. Requests a thread posts while one is queued wait in its FIFO;
+//! finishing a posted request queues the next at the processor's new clock,
+//! the heap entry a thread that waited would have made. So runs are
+//! deterministic regardless of host scheduling.
 //!
 //! All time charged to a processor flows through the `charge_*` helpers
 //! into one ledger, the per-processor [`ProcStats`]; each charge is
@@ -18,12 +21,13 @@
 //! reads an observer back, so no observer can change the run.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{Receiver, SyncSender};
 
 use crate::attrib::{word_mask, MissCause, CAUSE_OTHER};
 use crate::config::{BarrierImpl, LockImpl, MachineConfig};
+use crate::ctx::MAX_OUTSTANDING;
 use crate::error::SimError;
 use crate::memsys::{AccessClass, AccessKind, MemorySystem, Outcome};
 use crate::observe::{At, Event, Grant, LineAccess, Observers};
@@ -70,7 +74,7 @@ impl fmt::Display for Parked {
 enum RunState {
     /// Executing application code: it owes the engine a request.
     Running,
-    /// Its request waits in the heap to be processed.
+    /// Its request waits in the heap; later posts wait in `pending`.
     Queued(Request),
     /// Parked on a synchronization object (named in deadlock reports).
     Parked(Parked),
@@ -86,6 +90,8 @@ struct ProcRuntime {
     /// The processor's ledger times when it entered that phase.
     phase_from: PhaseBreakdown,
     state: RunState,
+    /// Posted requests that arrived while an earlier one was queued.
+    pending: VecDeque<Request>,
 }
 
 pub(crate) struct Engine {
@@ -139,6 +145,7 @@ impl Engine {
                     phase: 0,
                     phase_from: PhaseBreakdown::default(),
                     state: RunState::Running,
+                    pending: VecDeque::new(),
                 })
                 .collect(),
             stats: vec![ProcStats::default(); n],
@@ -279,13 +286,35 @@ impl Engine {
         if let Action::Panic(msg) = req.action {
             return Err(SimError::AppPanic(msg));
         }
-        debug_assert!(
-            matches!(self.procs[p].state, RunState::Running),
-            "proc {p} submitted while not running"
+        let blocking = matches!(
+            req.action,
+            Action::Lock(_) | Action::Barrier(_) | Action::FetchAdd(..) | Action::SemWait(_)
         );
-        self.procs[p].state = RunState::Queued(req);
-        self.heap.push(Reverse((self.procs[p].clock, p)));
+        debug_assert!(req.wait || !blocking, "proc {p} posted a blocking request");
+        let rt = &mut self.procs[p];
+        match rt.state {
+            RunState::Running => {
+                rt.state = RunState::Queued(req);
+                self.heap.push(Reverse((rt.clock, p)));
+            }
+            RunState::Queued(_) => rt.pending.push_back(req),
+            RunState::Parked(_) | RunState::Done => unreachable!("proc {p} is not running"),
+        }
+        debug_assert!(rt.pending.len() < MAX_OUTSTANDING, "proc {p} ran ahead");
         Ok(())
+    }
+
+    /// Lets `p` go on after a request that neither parked nor finished it:
+    /// replies if it waits, else queues `p`'s next post, if any, at its clock.
+    fn resume(&mut self, p: usize, wait: bool) {
+        let rt = &mut self.procs[p];
+        if wait {
+            debug_assert!(rt.pending.is_empty(), "proc {p} posted past a wait");
+            self.reply(p, 0);
+        } else if let Some(next) = rt.pending.pop_front() {
+            rt.state = RunState::Queued(next);
+            self.heap.push(Reverse((rt.clock, p)));
+        }
     }
 
     fn reply(&mut self, p: usize, value: i64) {
@@ -480,19 +509,19 @@ impl Engine {
     }
 
     fn process(&mut self, p: usize) {
-        // Every action below leaves `p` Running (replied to), Parked or Done.
+        // Every action below leaves `p` Running, Queued with its next post, Parked or Done.
         let RunState::Queued(req) = std::mem::replace(&mut self.procs[p].state, RunState::Running)
         else {
             unreachable!("heap entry without a queued request");
         };
         self.apply_ops(p, req.busy, &req.ops, &req.san);
         match req.action {
-            Action::Flush => self.reply(p, 0),
+            Action::Flush => self.resume(p, req.wait),
             Action::Phase(name) => {
                 self.close_phase(p);
                 self.procs[p].phase = self.intern_phase(&name);
                 self.emit(&Event::Phase { at: self.at(p) });
-                self.reply(p, 0);
+                self.resume(p, req.wait);
             }
             Action::Finish => {
                 self.close_phase(p);
@@ -552,7 +581,7 @@ impl Engine {
                     self.charge_sync_op(w, handoff);
                     self.reply(w, 0);
                 }
-                self.reply(p, 0);
+                self.resume(p, req.wait);
             }
             Action::Barrier(id) => {
                 self.emit(&Event::BarrierArrive { at: self.at(p), id });
@@ -656,7 +685,7 @@ impl Engine {
                     self.charge_sync_op(w, wake);
                     self.reply(w, 0);
                 }
-                self.reply(p, 0);
+                self.resume(p, req.wait);
             }
             Action::Panic(_) => unreachable!("handled in accept"),
         }

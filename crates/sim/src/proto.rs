@@ -1,9 +1,9 @@
 //! Engine ↔ processor-thread protocol (crate internal).
 //!
-//! Application threads communicate with the engine through rendezvous
-//! channels: each engine-visible action is a [`Request`]; the engine
-//! unblocks the thread with a [`Reply`] once the action completes in
-//! virtual time.
+//! Application threads send each engine-visible action as a [`Request`]
+//! on one shared channel. The engine sends a [`Reply`] to a request if and
+//! only if its `wait` is set, once the action completes in virtual time;
+//! a request without it is posted, and its thread runs on.
 
 use crate::page::Addr;
 use crate::time::Ns;
@@ -36,6 +36,9 @@ pub(crate) struct Request {
     pub ops: Vec<MemOp>,
     pub san: Vec<MemOp>,
     pub action: Action,
+    /// Whether the thread waits for a [`Reply`]; only this decides whether
+    /// the engine sends one. Actions that can block always set it.
+    pub wait: bool,
 }
 
 /// What a [`Request`] asks of the engine once its buffered work is

@@ -7,13 +7,13 @@
 //!
 //! # Safety model
 //!
-//! `SharedVec` uses interior mutability across threads. This is sound
-//! because the engine runs exactly one application thread at a time and the
-//! rendezvous channels establish happens-before edges between every pair of
-//! execution slices. A racy application (two processors writing the same
-//! element between synchronization points) observes engine-scheduling-
-//! dependent values — deterministic for a given program and machine, but
-//! not UB.
+//! `SharedVec` uses interior mutability across threads, which run
+//! concurrently between their engine requests (all of them at start and
+//! after each barrier release). Host accesses are ordered by the simulated
+//! synchronization: a lock, barrier, semaphore or fetch-add passes through
+//! the request channel's send and receive and the engine's reply, and
+//! those edges order the accesses it orders in virtual time. A program the
+//! sanitizer reports as racy may see values that depend on host timing.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -50,7 +50,7 @@ struct SharedBuf<T> {
     cells: Box<[UnsafeCell<T>]>,
 }
 
-// SAFETY: access is serialized by the simulation engine (see module docs).
+// SAFETY: accesses are ordered by simulated synchronization (module docs).
 unsafe impl<T: Send + Sync> Sync for SharedBuf<T> {}
 unsafe impl<T: Send + Sync> Send for SharedBuf<T> {}
 

@@ -2,10 +2,16 @@
 //! synchronization, determinism, failure handling, and first-order NUMA
 //! performance effects.
 
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use ccnuma_sim::config::{LockImpl, MachineConfig, PagePlacement};
+use ccnuma_sim::ctx::{Ctx, MAX_OUTSTANDING};
 use ccnuma_sim::error::SimError;
 use ccnuma_sim::machine::{Machine, Placement};
 use ccnuma_sim::mapping::ProcessMapping;
+use ccnuma_sim::sync::SemRef;
 
 fn cfg(nprocs: usize) -> MachineConfig {
     MachineConfig::origin2000_scaled(nprocs, 64 << 10)
@@ -118,6 +124,134 @@ fn app_panic_is_reported_not_hung() {
         SimError::AppPanic(msg) => assert!(msg.contains("boom"), "{msg}"),
         other => panic!("expected panic, got {other}"),
     }
+}
+
+/// Makes `n` requests that need no reply, cycling through the posted
+/// kinds: a flush of buffered work, a phase marker and a post to the
+/// processor's own semaphore in `sems`.
+fn post_run(ctx: &Ctx, sems: &[SemRef], n: usize) {
+    let sem = sems[ctx.id()];
+    for j in 0..n {
+        match j % 3 {
+            0 => {
+                ctx.compute_ns(10 + j as u64);
+                ctx.flush();
+            }
+            1 => ctx.phase(if j % 2 == 0 { "even" } else { "odd" }),
+            _ => ctx.sem_post(sem, 1),
+        }
+    }
+}
+
+/// Counts the application threads that have left their body, by
+/// returning or by unwinding.
+struct Exits(Arc<AtomicUsize>);
+
+impl Drop for Exits {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn app_panic_after_posts_is_reported_at_128_procs() {
+    let mut m = Machine::new(cfg(128)).unwrap();
+    let b = m.barrier();
+    let s: Vec<SemRef> = (0..128).map(|_| m.semaphore(0)).collect();
+    let exits = Arc::new(AtomicUsize::new(0));
+    let e = Arc::clone(&exits);
+    let err = m
+        .run(move |ctx| {
+            let _exit = Exits(Arc::clone(&e));
+            if ctx.id() == 77 {
+                post_run(ctx, &s, 3 * MAX_OUTSTANDING);
+                panic!("boom after posts on proc 77");
+            }
+            ctx.barrier(b); // the other 127 park here
+        })
+        .unwrap_err();
+    match err {
+        SimError::AppPanic(msg) => {
+            assert!(msg.contains("proc 77: boom after posts"), "{msg}")
+        }
+        other => panic!("expected panic, got {other}"),
+    }
+    // `run` returned only after joining every thread.
+    assert_eq!(exits.load(Ordering::SeqCst), 128);
+}
+
+#[test]
+fn deadlock_after_posts_names_every_blocked_proc_at_128() {
+    let mut m = Machine::new(cfg(128)).unwrap();
+    let l = m.lock();
+    let s: Vec<SemRef> = (0..128).map(|_| m.semaphore(0)).collect();
+    let exits = Arc::new(AtomicUsize::new(0));
+    let e = Arc::clone(&exits);
+    let err = m
+        .run(move |ctx| {
+            let _exit = Exits(Arc::clone(&e));
+            post_run(ctx, &s, 3 * MAX_OUTSTANDING);
+            if ctx.id() == 0 {
+                ctx.lock(l); // holds forever
+                post_run(ctx, &s, 3 * MAX_OUTSTANDING);
+            } else {
+                // A request is ordered by its start time, so flush the
+                // compute before locking to let proc 0 win the lock.
+                ctx.compute_ns(1_000_000);
+                ctx.flush();
+                ctx.lock(l);
+            }
+        })
+        .unwrap_err();
+    let SimError::Deadlock(who) = err else {
+        panic!("expected deadlock, got {err}");
+    };
+    for p in 1..128 {
+        assert!(who.contains(&format!("proc {p} on lock 0")), "{who}");
+    }
+    assert!(!who.contains("proc 0 on"), "{who}");
+    assert_eq!(exits.load(Ordering::SeqCst), 128);
+}
+
+#[test]
+fn unlock_by_non_holder_after_posts_fails_the_run_at_128_procs() {
+    let mut m = Machine::new(cfg(128)).unwrap();
+    let l = m.lock();
+    let s: Vec<SemRef> = (0..128).map(|_| m.semaphore(0)).collect();
+    let run = panic::catch_unwind(AssertUnwindSafe(move || {
+        m.run(move |ctx| {
+            post_run(ctx, &s, 3 * MAX_OUTSTANDING);
+            if ctx.id() == 5 {
+                ctx.unlock(l); // never locked
+            }
+            post_run(ctx, &s, 3 * MAX_OUTSTANDING);
+        })
+    }));
+    let payload = run.expect_err("the run must fail");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("unlock by non-holder 5"), "{msg}");
+}
+
+#[test]
+fn long_runs_of_posts_stay_bounded_at_128_procs() {
+    // The engine debug-asserts on every arrival that no processor has more
+    // than MAX_OUTSTANDING requests outstanding; tests run with debug
+    // assertions on.
+    let mut m = Machine::new(cfg(128)).unwrap();
+    let s: Vec<SemRef> = (0..128).map(|_| m.semaphore(0)).collect();
+    let stats = m
+        .run(move |ctx| post_run(ctx, &s, 10 * MAX_OUTSTANDING))
+        .unwrap();
+    // Every post was carried out: a flush or phase change each, and the
+    // semaphore posts' atomics.
+    let posts = (10 * MAX_OUTSTANDING) as u64;
+    let sem_posts = (0..posts).filter(|j| j % 3 == 2).count() as u64;
+    assert_eq!(stats.total(|p| p.atomics), 128 * sem_posts);
+    assert_eq!(stats.events, 128 * (posts + 1));
 }
 
 #[test]
