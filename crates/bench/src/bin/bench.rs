@@ -5,7 +5,7 @@
 //!                [--telemetry]
 //! bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
 //! bench perf     [--check] [--baseline <file>] [--tolerance <pct>] [--reps <k>]
-//!                [--json <file>] [--no-overhead]
+//!                [--json <file>]
 //!
 //! The three gates share one harness (study_bench::gate): each runs the
 //! pinned workload matrix and writes its baseline file, or with --check
@@ -30,9 +30,7 @@
 //!                     work counts (engine events, line accesses,
 //!                     directory transactions) and its host CPU per
 //!                     event, the minimum over --reps windows of at least
-//!                     200 ms of process CPU; also measures the host-CPU
-//!                     overhead of each optional subsystem (attrib,
-//!                     trace, sanitize, live) against an all-off pass
+//!                     200 ms of process CPU
 //! --check             compare against the baseline instead of
 //!                     overwriting it; exit 1 on a violation (the fresh
 //!                     measurement lands in BENCH_*.current.json)
@@ -49,11 +47,9 @@
 //!                     loopback HTTP server); with --check this is the
 //!                     observer-passivity gate — results must stay
 //!                     bit-identical
-//! --reps <k>          (perf) timing windows per cell and per overhead
-//!                     mode (default 3); the minimum counts
-//! --json <file>       (perf) also write the full report (entries +
-//!                     overhead rows) to <file>
-//! --no-overhead       (perf) skip the subsystem-overhead passes
+//! --reps <k>          (perf) timing windows per cell (default 3); the
+//!                     minimum counts
+//! --json <file>       (perf) also write the report to <file>
 //!
 //! bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]
 //!             [--retry-quarantined] [--retries <n>] [--timeout-s <s>]
@@ -173,7 +169,7 @@ fn usage(code: i32) -> ! {
     );
     eprintln!(
         "       bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--reps <k>]\n\
-         \x20                  [--json <file>] [--no-overhead]"
+         \x20                  [--json <file>]"
     );
     eprintln!(
         "       bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]\n\
@@ -242,7 +238,6 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
     let mut telemetry = false;
     let mut reps = perf::DEFAULT_REPS;
     let mut json_out: Option<PathBuf> = None;
-    let mut overhead = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -262,7 +257,6 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
                 Some(f) => json_out = Some(PathBuf::from(f)),
                 None => usage(2),
             },
-            "--no-overhead" if is_perf => overhead = false,
             "--help" | "-h" => usage(0),
             other => {
                 eprintln!("error: unexpected argument {other:?}");
@@ -274,7 +268,7 @@ fn cmd_gate(gate: &Gate, args: &[String]) -> ! {
     let current = match gate.verb {
         "regress" => measure_regress(jobs, telemetry),
         "critpath" => measure_critpath(jobs),
-        _ => measure_perf(reps, overhead, json_out),
+        _ => measure_perf(reps, json_out),
     };
     let render = |entries: &[Entry]| {
         if is_perf {
@@ -407,9 +401,9 @@ fn measure_critpath(jobs: usize) -> Vec<Entry> {
     current
 }
 
-/// `bench perf`: the throughput snapshot, plus the subsystem-overhead
-/// passes and the optional full report.
-fn measure_perf(reps: usize, overhead: bool, json_out: Option<PathBuf>) -> Vec<Entry> {
+/// `bench perf`: the throughput snapshot, also written to `json_out`
+/// if given.
+fn measure_perf(reps: usize, json_out: Option<PathBuf>) -> Vec<Entry> {
     eprintln!(
         "[bench] timing the pinned matrix ({}, min of {reps} CPU window(s) per cell)...",
         pinned_matrix()
@@ -422,41 +416,8 @@ fn measure_perf(reps: usize, overhead: bool, json_out: Option<PathBuf>) -> Vec<E
         t0.elapsed()
     );
     print!("{}", perf::table(&current));
-
-    let overheads = overhead.then(|| {
-        eprintln!(
-            "[bench] measuring optional-subsystem overhead (min of {reps} CPU window(s) per mode)..."
-        );
-        let rows = perf::measure_overheads(reps)
-            .unwrap_or_else(|e| fail(&format!("overhead measurement failed: {e}")));
-        print!("{}", perf::overhead_table(&rows));
-        rows
-    });
-
     if let Some(path) = &json_out {
-        let mut doc = perf::to_json(reps, &current)
-            .trim_end()
-            .strip_suffix('}')
-            .expect("to_json ends with }")
-            .trim_end()
-            .to_string();
-        if let Some(rows) = &overheads {
-            doc.push_str(",\n  \"overheads\": [");
-            for (i, r) in rows.iter().enumerate() {
-                if i > 0 {
-                    doc.push(',');
-                }
-                doc.push_str(&format!(
-                    "\n    {{\"mode\": {}, \"total_ns\": {}, \"overhead_pct\": {:.3}}}",
-                    json::quote(r.mode),
-                    r.total_ns,
-                    r.overhead_pct
-                ));
-            }
-            doc.push_str("\n  ]");
-        }
-        doc.push_str("\n}\n");
-        if let Err(e) = std::fs::write(path, doc) {
+        if let Err(e) = std::fs::write(path, perf::to_json(reps, &current)) {
             fail(&format!("cannot write {}: {e}", path.display()));
         }
         eprintln!("[bench] wrote perf report to {}", path.display());

@@ -51,37 +51,8 @@ pub const GATE: Gate = Gate {
     ],
 };
 
-/// Default timing windows per cell (and per overhead mode).
+/// Default timing windows per cell.
 pub const DEFAULT_REPS: usize = 3;
-
-/// Optional-subsystem overhead modes measured by
-/// [`measure_overheads`], in report order. `"baseline"` (all off) is
-/// implicit; `"live"` runs the full telemetry wiring (registry +
-/// refresher) beside an unmodified config.
-pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "live"];
-
-/// One row of the subsystem-overhead report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadEntry {
-    /// Mode name (`"baseline"` or one of [`OVERHEAD_MODES`]).
-    pub mode: &'static str,
-    /// Host CPU nanoseconds of one matrix pass.
-    pub total_ns: u64,
-    /// Percent overhead versus the all-off baseline pass.
-    pub overhead_pct: f64,
-}
-
-/// The cell's machine config with one optional subsystem switched on.
-fn mode_config(np: usize, scale: Scale, mode: &str) -> MachineConfig {
-    let mut cfg = MachineConfig::origin2000_scaled(np, scale.cache_bytes());
-    match mode {
-        "attrib" => cfg.classify_misses = true,
-        "trace" => cfg.trace = ccnuma_sim::trace::TraceConfig::on(),
-        "sanitize" => cfg.sanitize.enabled = true,
-        _ => {}
-    }
-    cfg
-}
 
 /// The host CPU one timing window must cover. `USER_HZ` ticks are 10
 /// ms, so tick rounding moves a window by at most 5%.
@@ -164,7 +135,10 @@ pub fn measure(reps: usize) -> Result<Vec<Entry>, StudyError> {
     let scale = Scale::Quick;
     let cells: Vec<_> = points()
         .into_iter()
-        .map(|(id, np)| (basic(id, scale), mode_config(np, scale, "baseline")))
+        .map(|(id, np)| {
+            let cfg = MachineConfig::origin2000_scaled(np, scale.cache_bytes());
+            (basic(id, scale), cfg)
+        })
         .collect();
     let mut counts: Vec<Option<[u64; 3]>> = vec![None; cells.len()];
     let ns = min_cpu_per_call(cells.len(), reps, |i| {
@@ -199,49 +173,6 @@ pub fn measure(reps: usize) -> Result<Vec<Entry>, StudyError> {
                     vec![ns / events.max(1)],
                 ],
             }
-        })
-        .collect())
-}
-
-/// One pass over the matrix in `mode`, one cell at a time.
-fn matrix_pass(mode: &str) -> Result<(), StudyError> {
-    let scale = Scale::Quick;
-    for (id, np) in points() {
-        execute_workload(basic(id, scale).as_ref(), mode_config(np, scale, mode))?;
-    }
-    Ok(())
-}
-
-/// Measures the host-CPU cost of each optional subsystem by timing a
-/// matrix pass in each mode against the all-off baseline pass, as the
-/// minimum over `reps` windows with the modes interleaved round robin.
-/// The `"live"` row runs the full telemetry wiring (registry, refresher,
-/// rate pipeline) around each of its passes.
-///
-/// # Errors
-///
-/// Propagates the first simulation or verification failure.
-pub fn measure_overheads(reps: usize) -> Result<Vec<OverheadEntry>, StudyError> {
-    let modes: Vec<&'static str> = std::iter::once("baseline")
-        .chain(OVERHEAD_MODES.iter().copied())
-        .collect();
-    let ns = min_cpu_per_call(modes.len(), reps, |i| {
-        let wiring = (modes[i] == "live")
-            .then(|| crate::live::Wiring::start(std::time::Duration::from_millis(100)));
-        let pass = matrix_pass(modes[i]);
-        if let Some(w) = wiring {
-            w.stop();
-        }
-        pass
-    })?;
-    let base = ns[0];
-    Ok(modes
-        .into_iter()
-        .zip(ns)
-        .map(|(mode, total_ns)| OverheadEntry {
-            mode,
-            total_ns,
-            overhead_pct: 100.0 * (total_ns as f64 / base.max(1) as f64 - 1.0),
         })
         .collect())
 }
@@ -300,20 +231,6 @@ pub fn table(entries: &[Entry]) -> String {
             GATE.get(e, "dir_txns")[0],
             ns,
             if ns == 0 { 0.0 } else { 1e3 / ns as f64 }
-        ));
-    }
-    out
-}
-
-/// Renders the subsystem-overhead table.
-pub fn overhead_table(rows: &[OverheadEntry]) -> String {
-    let mut out = String::from("subsystem    CPU ms/pass   overhead\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:>11.1} {:>+9.1}%\n",
-            r.mode,
-            r.total_ns as f64 / 1e6,
-            r.overhead_pct
         ));
     }
     out

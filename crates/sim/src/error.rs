@@ -52,6 +52,9 @@ pub enum SimError {
     Deadlock(String),
     /// An application thread panicked; the payload is its panic message.
     AppPanic(String),
+    /// The host could not start a processor's thread; the payload names
+    /// the processor and the host's error.
+    Spawn(String),
 }
 
 impl fmt::Display for SimError {
@@ -60,6 +63,7 @@ impl fmt::Display for SimError {
             SimError::Config(e) => write!(f, "invalid machine configuration: {e}"),
             SimError::Deadlock(who) => write!(f, "application deadlocked: {who}"),
             SimError::AppPanic(msg) => write!(f, "application panicked: {msg}"),
+            SimError::Spawn(msg) => write!(f, "cannot start processor thread: {msg}"),
         }
     }
 }

@@ -36,6 +36,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, Once};
+use std::thread::JoinHandle;
 
 use crate::config::MachineConfig;
 use crate::ctx::Ctx;
@@ -253,8 +254,9 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if all processors block on
-    /// synchronization, or [`SimError::AppPanic`] if the body panics on any
-    /// processor.
+    /// synchronization, [`SimError::AppPanic`] if the body panics on any
+    /// processor, or [`SimError::Spawn`] if the host cannot start a
+    /// processor's thread.
     pub fn run<F>(self, body: F) -> Result<RunStats, SimError>
     where
         F: Fn(&Ctx) + Send + Sync + 'static,
@@ -296,29 +298,36 @@ impl Machine {
             reply_txs.push(rep_tx);
             let ctx = Ctx::new(p, &cfg, req_tx.clone(), rep_rx);
             let body = Arc::clone(&body);
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-proc-{p}"))
-                .stack_size(8 << 20)
-                .spawn(move || {
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                    match result {
-                        Ok(()) => ctx.finish(Action::Finish),
-                        Err(e) => {
-                            if e.downcast_ref::<EngineGone>().is_some() {
-                                // Engine aborted; exit silently.
-                                return;
-                            }
-                            let msg = e
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| e.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "unknown panic".into());
-                            ctx.finish(Action::Panic(format!("proc {p}: {msg}")));
+            let spawned = spawn_proc(p, move || {
+                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+                match result {
+                    Ok(()) => ctx.finish(Action::Finish),
+                    Err(e) => {
+                        if e.downcast_ref::<EngineGone>().is_some() {
+                            // Engine aborted; exit silently.
+                            return;
                         }
+                        let msg = e
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| e.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "unknown panic".into());
+                        ctx.finish(Action::Panic(format!("proc {p}: {msg}")));
                     }
-                })
-                .expect("spawn simulated processor thread");
-            handles.push(handle);
+                }
+            });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The threads already started unwind via the
+                    // EngineGone sentinel once their reply senders are gone.
+                    drop(reply_txs);
+                    for h in handles {
+                        let _ = h.join();
+                    }
+                    return Err(SimError::Spawn(format!("proc {p}: {e}")));
+                }
+            }
         }
         drop(req_tx);
 
@@ -335,6 +344,25 @@ impl Machine {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: `Machine::run` on this thread fails to start this
+    /// processor's thread.
+    static FAIL_SPAWN: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Starts processor `p`'s thread running `f`.
+fn spawn_proc(p: usize, f: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if FAIL_SPAWN.get() == Some(p) {
+        return Err(std::io::Error::other("injected spawn failure"));
+    }
+    std::thread::Builder::new()
+        .name(format!("sim-proc-{p}"))
+        .stack_size(8 << 20)
+        .spawn(f)
+}
+
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
@@ -343,5 +371,43 @@ impl std::fmt::Debug for Machine {
             .field("locks", &self.locks.len())
             .field("barriers", &self.barriers.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+
+    /// Counts the processor threads that have exited.
+    struct Exits(Arc<AtomicUsize>);
+
+    impl Drop for Exits {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn failed_spawn_returns_an_error_after_joining_started_threads() {
+        let mut m = Machine::new(MachineConfig::origin2000(8)).unwrap();
+        let b = m.barrier();
+        let exits = Arc::new(AtomicUsize::new(0));
+        let e = Arc::clone(&exits);
+        FAIL_SPAWN.set(Some(5));
+        let err = m
+            .run(move |ctx| {
+                let _exit = Exits(Arc::clone(&e));
+                ctx.flush();
+                ctx.barrier(b);
+            })
+            .unwrap_err();
+        FAIL_SPAWN.set(None);
+        assert_eq!(
+            err,
+            SimError::Spawn("proc 5: injected spawn failure".into())
+        );
+        assert_eq!(exits.load(Ordering::SeqCst), 5);
     }
 }

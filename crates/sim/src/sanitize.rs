@@ -17,8 +17,11 @@
 //!
 //! 1. **Race detection** with FastTrack-style epoch compression: each
 //!    shadow granule usually stores a last-write epoch and a last-read
-//!    epoch, promoting the read side to a full vector clock only while
-//!    reads are genuinely concurrent. The
+//!    epoch, promoting the read side to a sparse list of per-reader
+//!    epochs only while reads are genuinely concurrent. Each epoch
+//!    carries the context of its operation inline (processor, phase,
+//!    interned lockset, range and kind), so a granule's record is a
+//!    fixed 96 bytes and only a promotion allocates. The
 //!    [`SanitizeGranularity`] knob selects the granule size: `Word`
 //!    (8 bytes, the same word footprint `attrib` uses) reports true
 //!    data races only, while `Line` also flags line-granularity
@@ -42,7 +45,7 @@
 //! `Sanitizer` directly (e.g. to exercise barrier divergence, which in
 //! a real run deadlocks the engine before statistics exist).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::dense::DenseTable;
 use crate::observe::Event;
@@ -137,44 +140,24 @@ impl VectorClock {
     }
 }
 
-/// A FastTrack epoch: clock value `clock` of processor `proc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EpochVal {
+/// The context of one recorded operation, shared by every granule it
+/// covers: who made it, in which phase, holding which locks (an
+/// interned lockset id), and the operation's own range and kind. It is
+/// built once per operation and copied into each granule's shadow.
+#[derive(Debug, Clone, Copy)]
+struct OpCtx {
     proc: u32,
-    clock: u64,
-}
-
-impl EpochVal {
-    /// `self` happens-before (or equals) the instant described by `vc`.
-    fn le(self, vc: &VectorClock) -> bool {
-        self.clock <= vc.get(self.proc as usize)
-    }
-}
-
-/// The read side of a shadow granule: compressed to the last epoch while
-/// reads are totally ordered, promoted to a full clock when concurrent.
-#[derive(Debug, Clone)]
-enum ReadShadow {
-    None,
-    Epoch(EpochVal),
-    Clock(VectorClock),
-}
-
-/// One access with recording context, phase still as an interned id.
-#[derive(Debug, Clone)]
-struct RawAccess {
-    proc: usize,
     phase: u32,
+    lockset: u32,
+    is_write: bool,
     addr: Addr,
     bytes: u64,
-    is_write: bool,
-    locks: Vec<usize>,
 }
 
-impl RawAccess {
-    fn resolve(&self, phase_names: &[String]) -> AccessInfo {
+impl OpCtx {
+    fn resolve(&self, phase_names: &[String], locksets: &[Vec<usize>]) -> AccessInfo {
         AccessInfo {
-            proc: self.proc,
+            proc: self.proc as usize,
             phase: phase_names
                 .get(self.phase as usize)
                 .cloned()
@@ -182,49 +165,70 @@ impl RawAccess {
             addr: self.addr,
             bytes: self.bytes,
             is_write: self.is_write,
-            locks: self.locks.clone(),
+            locks: locksets[self.lockset as usize].clone(),
         }
     }
 }
 
+/// One access in a granule's shadow: the FastTrack epoch (clock value
+/// `clock` of processor `ctx.proc`) with the context a report prints.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    clock: u64,
+    ctx: OpCtx,
+}
+
+impl Access {
+    /// `self` happens-before (or equals) the instant described by `vc`.
+    fn le(&self, vc: &VectorClock) -> bool {
+        self.clock <= vc.get(self.ctx.proc as usize)
+    }
+}
+
+/// The reads of a shadow granule since its last write: the latest one
+/// while reads are totally ordered, or each concurrent reader's latest
+/// read, sorted by processor. A racing write conflicts with one
+/// *specific* concurrent reader; keeping only the globally-last read
+/// would misattribute the race whenever an ordered read (often the
+/// writer's own) lands in between.
+#[derive(Debug, Clone, Default)]
+enum Reads {
+    #[default]
+    None,
+    Epoch(Access),
+    Many(Vec<Access>),
+}
+
 /// Shadow state of one granule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Shadow {
-    write: Option<EpochVal>,
-    read: ReadShadow,
-    write_ctx: Option<RawAccess>,
-    /// Last read context per processor (sparse, keyed by proc). A racing
-    /// write conflicts with one *specific* concurrent reader; keeping
-    /// only the globally-last read would misattribute the race whenever
-    /// an ordered read (often the writer's own) lands in between.
-    read_ctxs: Vec<(usize, RawAccess)>,
+    write: Option<Access>,
+    read: Reads,
     /// One race per granule: further conflicts on an already-reported
     /// granule are suppressed so a single racy array does not flood the
     /// report.
     reported: bool,
     /// The fetch&add cell at this granule, for the atomic/plain-mix lint.
-    cell: Option<usize>,
+    cell: Option<u32>,
 }
 
-impl Default for Shadow {
-    fn default() -> Self {
-        Shadow {
-            write: None,
-            read: ReadShadow::None,
-            write_ctx: None,
-            read_ctxs: Vec::new(),
-            reported: false,
-            cell: None,
+/// Locksets interned to dense ids, so a shadow record names the locks
+/// held at an access in 4 bytes.
+#[derive(Debug, Default)]
+struct Locksets {
+    sets: Vec<Vec<usize>>,
+    ids: HashMap<Vec<usize>, u32>,
+}
+
+impl Locksets {
+    fn id(&mut self, set: Vec<usize>) -> u32 {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
         }
-    }
-}
-
-impl Shadow {
-    fn read_ctx_of(&self, p: usize) -> Option<RawAccess> {
-        self.read_ctxs
-            .iter()
-            .find(|(q, _)| *q == p)
-            .map(|(_, a)| a.clone())
+        let id = self.sets.len() as u32;
+        self.sets.push(set.clone());
+        self.ids.insert(set, id);
+        id
     }
 }
 
@@ -369,8 +373,10 @@ pub struct Sanitizer {
     clocks: Vec<VectorClock>,
     /// Current interned phase id per processor.
     phase: Vec<u32>,
-    /// Locks currently held per processor, in acquisition order.
-    locksets: Vec<Vec<usize>>,
+    /// Interned id of the locks each processor holds, in acquisition
+    /// order.
+    lockset: Vec<u32>,
+    locksets: Locksets,
     lock_release: Vec<VectorClock>,
     lock_holder: Vec<Option<usize>>,
     /// Processors currently waiting in each barrier's open episode.
@@ -379,7 +385,8 @@ pub struct Sanitizer {
     cell_clock: Vec<VectorClock>,
     /// Granule index → shadow state.
     shadow: DenseTable<Shadow>,
-    raw_races: Vec<(u64, RawAccess, RawAccess)>,
+    /// Granule, prior access and current access of each race.
+    raw_races: Vec<(u64, OpCtx, OpCtx)>,
     lock_edges: BTreeSet<(usize, usize)>,
     lints: Vec<LintFinding>,
 }
@@ -400,13 +407,16 @@ impl Sanitizer {
                 c
             })
             .collect();
+        let mut locksets = Locksets::default();
+        let none = locksets.id(Vec::new());
         Sanitizer {
             granularity,
             gbytes,
             nprocs,
             clocks,
             phase: vec![0; nprocs],
-            locksets: vec![Vec::new(); nprocs],
+            lockset: vec![none; nprocs],
+            locksets,
             lock_release: Vec::new(),
             lock_holder: Vec::new(),
             barrier_arrived: Vec::new(),
@@ -445,7 +455,7 @@ impl Sanitizer {
     /// Registers the memory address of fetch&add cell `id` so plain
     /// accesses to it can be linted.
     pub fn register_fetch_cell(&mut self, id: usize, addr: Addr) {
-        self.shadow.get_mut(addr / self.gbytes).cell = Some(id);
+        self.shadow.get_mut(addr / self.gbytes).cell = Some(id as u32);
     }
 
     /// Sets processor `p`'s current phase id (for finding context; ids
@@ -475,10 +485,68 @@ impl Sanitizer {
         if bytes == 0 {
             return;
         }
+        let cur = OpCtx {
+            proc: p as u32,
+            phase: self.phase[p],
+            lockset: self.lockset[p],
+            is_write,
+            addr,
+            bytes,
+        };
+        let own = Access {
+            clock: self.clocks[p].get(p),
+            ctx: cur,
+        };
         let first = addr / self.gbytes;
         let last = (addr + bytes - 1) / self.gbytes;
         for g in first..=last {
-            if let Some(cell) = self.shadow.get(g).and_then(|st| st.cell) {
+            let clock = &self.clocks[p];
+            let st = self.shadow.get_mut(g);
+            let cell = st.cell;
+            // Conflict checks: a prior access races with this one when it
+            // is not ordered before it by the vector clock and at least
+            // one of the two writes. Concurrent readers are sorted, so a
+            // racing write names the lowest-numbered one.
+            if !st.reported {
+                let prior = match (st.write, &st.read) {
+                    (Some(w), _) if !w.le(clock) => Some(w),
+                    (_, Reads::Epoch(r)) if is_write && !r.le(clock) => Some(*r),
+                    (_, Reads::Many(rs)) if is_write => rs.iter().find(|r| !r.le(clock)).copied(),
+                    _ => None,
+                };
+                if let Some(prior) = prior {
+                    st.reported = true;
+                    self.raw_races.push((g, prior.ctx, cur));
+                }
+            }
+            // Shadow update (FastTrack): writes own the granule and clear
+            // the read side (sound: any later access ordered after this
+            // write is, by transitivity, ordered after everything the
+            // write was ordered after); reads stay an epoch while totally
+            // ordered and promote to a list of readers when concurrent.
+            if is_write {
+                st.write = Some(own);
+                st.read = Reads::None;
+            } else {
+                st.read = match std::mem::take(&mut st.read) {
+                    Reads::Epoch(r) if r.ctx.proc != cur.proc && !r.le(clock) => {
+                        Reads::Many(if r.ctx.proc < cur.proc {
+                            vec![r, own]
+                        } else {
+                            vec![own, r]
+                        })
+                    }
+                    Reads::Many(mut rs) => {
+                        match rs.binary_search_by_key(&cur.proc, |r| r.ctx.proc) {
+                            Ok(i) => rs[i] = own,
+                            Err(i) => rs.insert(i, own),
+                        }
+                        Reads::Many(rs)
+                    }
+                    _ => Reads::Epoch(own),
+                };
+            }
+            if let Some(cell) = cell {
                 self.lint(
                     LintKind::AtomicPlainMix,
                     format!(
@@ -489,79 +557,12 @@ impl Sanitizer {
                     ),
                 );
             }
-            let cur = RawAccess {
-                proc: p,
-                phase: self.phase[p],
-                addr,
-                bytes,
-                is_write,
-                locks: self.locksets[p].clone(),
-            };
-            let clock = &self.clocks[p];
-            let own = EpochVal {
-                proc: p as u32,
-                clock: clock.get(p),
-            };
-            let st = self.shadow.get_mut(g);
-            // Conflict checks: a prior access races with this one when it
-            // is not ordered before it by the vector clock and at least
-            // one of the two writes.
-            let prior: Option<RawAccess> = if is_write {
-                if st.write.is_some_and(|w| !w.le(clock)) {
-                    st.write_ctx.clone()
-                } else {
-                    match &st.read {
-                        ReadShadow::Epoch(r) if !r.le(clock) => st.read_ctx_of(r.proc as usize),
-                        ReadShadow::Clock(vc) => (0..self.nprocs)
-                            .find(|&q| vc.get(q) > clock.get(q))
-                            .and_then(|q| st.read_ctx_of(q)),
-                        _ => None,
-                    }
-                }
-            } else if st.write.is_some_and(|w| !w.le(clock)) {
-                st.write_ctx.clone()
-            } else {
-                None
-            };
-            if let Some(prior) = prior {
-                if !st.reported {
-                    st.reported = true;
-                    self.raw_races.push((g, prior, cur.clone()));
-                }
-            }
-            // Shadow update (FastTrack): writes own the granule and clear
-            // the read side (sound: any later access ordered after this
-            // write is, by transitivity, ordered after everything the
-            // write was ordered after); reads stay an epoch while totally
-            // ordered and promote to a clock when concurrent.
-            if is_write {
-                st.write = Some(own);
-                st.write_ctx = Some(cur);
-                st.read = ReadShadow::None;
-                st.read_ctxs.clear();
-            } else {
-                st.read = match std::mem::replace(&mut st.read, ReadShadow::None) {
-                    ReadShadow::None => ReadShadow::Epoch(own),
-                    ReadShadow::Epoch(r) if r.proc == own.proc || r.le(clock) => {
-                        ReadShadow::Epoch(own)
-                    }
-                    ReadShadow::Epoch(r) => {
-                        let mut vc = VectorClock::default();
-                        vc.set(r.proc as usize, r.clock);
-                        vc.set(p, own.clock);
-                        ReadShadow::Clock(vc)
-                    }
-                    ReadShadow::Clock(mut vc) => {
-                        vc.set(p, own.clock);
-                        ReadShadow::Clock(vc)
-                    }
-                };
-                match st.read_ctxs.iter_mut().find(|(q, _)| *q == p) {
-                    Some(slot) => slot.1 = cur,
-                    None => st.read_ctxs.push((p, cur)),
-                }
-            }
         }
+    }
+
+    /// The locks processor `p` holds, in acquisition order.
+    fn held(&self, p: usize) -> &[usize] {
+        &self.locksets.sets[self.lockset[p] as usize]
     }
 
     fn ensure_lock(&mut self, l: usize) {
@@ -574,13 +575,14 @@ impl Sanitizer {
     /// Records processor `p` acquiring lock `l` (call at grant time).
     pub fn lock_acquire(&mut self, p: usize, l: usize) {
         self.ensure_lock(l);
-        for i in 0..self.locksets[p].len() {
-            let held = self.locksets[p][i];
-            if held != l {
-                self.lock_edges.insert((held, l));
+        let mut held = self.held(p).to_vec();
+        for &h in &held {
+            if h != l {
+                self.lock_edges.insert((h, l));
             }
         }
-        self.locksets[p].push(l);
+        held.push(l);
+        self.lockset[p] = self.locksets.id(held);
         self.lock_holder[l] = Some(p);
         let release = self.lock_release[l].clone();
         self.clocks[p].join(&release);
@@ -600,8 +602,10 @@ impl Sanitizer {
                 format!("lock {l} released by proc {p} but held by {holder}"),
             );
         }
-        if let Some(i) = self.locksets[p].iter().rposition(|&h| h == l) {
-            self.locksets[p].remove(i);
+        if let Some(i) = self.held(p).iter().rposition(|&h| h == l) {
+            let mut held = self.held(p).to_vec();
+            held.remove(i);
+            self.lockset[p] = self.locksets.id(held);
         }
         self.lock_release[l] = self.clocks[p].clone();
         self.clocks[p].tick(p);
@@ -612,14 +616,12 @@ impl Sanitizer {
         if self.barrier_arrived.len() <= b {
             self.barrier_arrived.resize(b + 1, Vec::new());
         }
-        if !self.locksets[p].is_empty() {
-            self.lint(
-                LintKind::LockAcrossBarrier,
-                format!(
-                    "proc {p} arrived at barrier {b} holding lock(s) {:?}",
-                    self.locksets[p]
-                ),
+        if !self.held(p).is_empty() {
+            let msg = format!(
+                "proc {p} arrived at barrier {b} holding lock(s) {:?}",
+                self.held(p)
             );
+            self.lint(LintKind::LockAcrossBarrier, msg);
         }
         self.barrier_arrived[b].push(p);
     }
@@ -764,8 +766,8 @@ impl Sanitizer {
             .map(|(g, prior, cur)| RaceFinding {
                 addr: g * self.gbytes,
                 bytes: self.gbytes,
-                prior: prior.resolve(phase_names),
-                current: cur.resolve(phase_names),
+                prior: prior.resolve(phase_names, &self.locksets.sets),
+                current: cur.resolve(phase_names, &self.locksets.sets),
             })
             .collect();
         races.sort_by(|a, b| {
@@ -863,6 +865,152 @@ mod tests {
         let rep = s.finalize(&names());
         assert_eq!(rep.counts(), [1, 0, 0]);
         assert!(!rep.races[0].prior.is_write && rep.races[0].current.is_write);
+    }
+
+    fn acc(
+        proc: usize,
+        phase: &str,
+        addr: Addr,
+        bytes: u64,
+        w: bool,
+        locks: &[usize],
+    ) -> AccessInfo {
+        AccessInfo {
+            proc,
+            phase: phase.to_string(),
+            addr,
+            bytes,
+            is_write: w,
+            locks: locks.to_vec(),
+        }
+    }
+
+    fn race(addr: Addr, bytes: u64, prior: AccessInfo, current: AccessInfo) -> RaceFinding {
+        RaceFinding {
+            addr,
+            bytes,
+            prior,
+            current,
+        }
+    }
+
+    fn phase_names() -> Vec<String> {
+        ["main", "a", "b"].map(String::from).to_vec()
+    }
+
+    #[test]
+    fn race_names_the_whole_epoch_read_with_its_lockset() {
+        for (g, granule, gbytes) in [
+            (SanitizeGranularity::Word, 0x1008, 8),
+            (SanitizeGranularity::Line, 0x1000, 128),
+        ] {
+            let mut s = Sanitizer::new(2, g, 128);
+            s.set_phase(1, 1);
+            s.lock_acquire(1, 2);
+            s.read(1, 0x1000, 24);
+            s.write(0, 0x1008, 8);
+            let rep = s.finalize(&phase_names());
+            assert_eq!(
+                rep.races,
+                vec![race(
+                    granule,
+                    gbytes,
+                    acc(1, "a", 0x1000, 24, false, &[2]),
+                    acc(0, "main", 0x1008, 8, true, &[]),
+                )],
+                "{g:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn promoted_granule_names_its_lowest_unordered_reader() {
+        let mut s = Sanitizer::new(4, SanitizeGranularity::Word, 128);
+        s.lock_acquire(3, 7);
+        s.read(3, 0x1000, 24);
+        s.set_phase(2, 2);
+        s.read(2, 0x1008, 16);
+        s.read(1, 0x1010, 8);
+        s.sem_post(1, 0);
+        s.sem_acquire(0, 0);
+        s.write(0, 0x1000, 24);
+        let rep = s.finalize(&phase_names());
+        let p3 = acc(3, "main", 0x1000, 24, false, &[7]);
+        let p2 = acc(2, "b", 0x1008, 16, false, &[]);
+        let w = acc(0, "main", 0x1000, 24, true, &[]);
+        assert_eq!(
+            rep.races,
+            vec![
+                race(0x1000, 8, p3, w.clone()),
+                race(0x1008, 8, p2.clone(), w.clone()),
+                race(0x1010, 8, p2, w),
+            ]
+        );
+    }
+
+    #[test]
+    fn writers_own_read_does_not_hide_the_concurrent_reader() {
+        let mut s = Sanitizer::new(2, SanitizeGranularity::Word, 128);
+        s.read(1, 0x1000, 16);
+        s.read(0, 0x1000, 8);
+        s.write(0, 0x1000, 8);
+        let rep = s.finalize(&phase_names());
+        assert_eq!(
+            rep.races,
+            vec![race(
+                0x1000,
+                8,
+                acc(1, "main", 0x1000, 16, false, &[]),
+                acc(0, "main", 0x1000, 8, true, &[]),
+            )]
+        );
+    }
+
+    #[test]
+    fn ordered_reader_replaces_the_epoch() {
+        let mut s = Sanitizer::new(3, SanitizeGranularity::Word, 128);
+        s.read(1, 0x1000, 8);
+        s.sem_post(1, 0);
+        s.sem_acquire(2, 0);
+        s.lock_acquire(2, 4);
+        s.read(2, 0x1000, 8);
+        s.write(0, 0x1000, 8);
+        let rep = s.finalize(&phase_names());
+        assert_eq!(
+            rep.races,
+            vec![race(
+                0x1000,
+                8,
+                acc(2, "main", 0x1000, 8, false, &[4]),
+                acc(0, "main", 0x1000, 8, true, &[]),
+            )]
+        );
+    }
+
+    #[test]
+    fn race_reports_nested_locks_in_acquisition_order() {
+        let mut s = Sanitizer::new(2, SanitizeGranularity::Word, 128);
+        s.lock_acquire(1, 3);
+        s.lock_acquire(1, 9);
+        s.lock_acquire(1, 5);
+        s.lock_release(1, 9);
+        s.write(1, 0x2000, 32);
+        s.read(0, 0x2010, 8);
+        let rep = s.finalize(&phase_names());
+        assert_eq!(
+            rep.races,
+            vec![race(
+                0x2010,
+                8,
+                acc(1, "main", 0x2000, 32, true, &[3, 5]),
+                acc(0, "main", 0x2010, 8, false, &[]),
+            )]
+        );
+    }
+
+    #[test]
+    fn shadow_record_stays_compact() {
+        assert!(std::mem::size_of::<Shadow>() <= 96);
     }
 
     #[test]

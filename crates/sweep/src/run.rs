@@ -257,6 +257,10 @@ fn run_attempt(spec: &CellSpec, label: &str, inject_panic: Option<&str>) -> Atte
             Err(StudyError::Sim(ccnuma_sim::error::SimError::AppPanic(msg))) => {
                 Attempt::Panicked(msg)
             }
+            // A host that cannot start a thread may manage on a retry.
+            Err(StudyError::Sim(e @ ccnuma_sim::error::SimError::Spawn(_))) => {
+                Attempt::Panicked(e.to_string())
+            }
             Err(e) => Attempt::Failed(e.to_string()),
         }
     };
