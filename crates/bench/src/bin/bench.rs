@@ -347,32 +347,27 @@ fn measure_regress(jobs: usize, telemetry: bool) -> Vec<Entry> {
         pinned_matrix()
     );
     // With --telemetry the whole observer stack runs during the
-    // measurement: the registry refresher, the rate pipeline, and the
-    // HTTP/SSE server on a loopback port. The comparison is then the
-    // observer-passivity gate: telemetry on or off, the attribution
-    // numbers must be bit-identical.
+    // measurement: the epoch loop with its counter mirror and rate
+    // pipeline, and the HTTP/SSE server on a loopback port. The
+    // comparison is then the observer-passivity gate: telemetry on or
+    // off, the attribution numbers must be bit-identical.
     let observer = telemetry.then(|| {
-        let wiring = live::Wiring::start(Duration::from_millis(100));
-        let hub = Hub::start(
-            wiring.registry.clone(),
-            HubConfig {
-                epoch: Duration::from_millis(100),
-                addr: Some("127.0.0.1:0".into()),
-                log_path: None,
-            },
-        )
+        let hub = live::start_hub(HubConfig {
+            epoch: Duration::from_millis(100),
+            addr: Some("127.0.0.1:0".into()),
+            log_path: None,
+        })
         .unwrap_or_else(|e| fail(&format!("cannot start telemetry hub: {e}")));
         eprintln!(
             "[bench] telemetry observer live at http://{}/metrics",
             hub.local_addr().expect("hub bound")
         );
-        (wiring, hub)
+        hub
     });
     let t0 = std::time::Instant::now();
     let current =
         regress::measure(jobs).unwrap_or_else(|e| fail(&format!("measurement failed: {e}")));
-    if let Some((wiring, hub)) = observer {
-        wiring.stop();
+    if let Some(hub) = observer {
         hub.shutdown();
     }
     eprintln!(
@@ -504,31 +499,30 @@ fn cmd_sweep(args: &[String]) -> ! {
         cfg.store_path.display()
     );
 
-    // The observer stack. The wiring (registry + refresher) always
-    // runs so per-cell lifecycle lands in one registry; the hub (HTTP
-    // server and/or JSONL epoch log) only when asked for. Progress now
-    // comes from the event recorder — one line per finished cell —
-    // instead of the sweep driver's ETA lines, so the same summary is
-    // printed with or without --live.
-    let wiring = live::Wiring::start(epoch);
-    let hub = if live_addr.is_some() || live_log.is_some() {
-        let hub = Hub::start(
-            wiring.registry.clone(),
-            HubConfig {
-                epoch,
-                addr: live_addr,
-                log_path: live_log,
-            },
-        )
+    // The observer stack. Per-cell lifecycle always lands in one
+    // registry; the hub (its epoch loop, HTTP server and/or JSONL epoch
+    // log) runs only when asked for, since nothing else reads that
+    // registry. Progress comes from the event recorder — one line per
+    // finished cell — so the same summary is printed with or without
+    // --live.
+    let hub = (live_addr.is_some() || live_log.is_some()).then(|| {
+        let hub = live::start_hub(HubConfig {
+            epoch,
+            addr: live_addr,
+            log_path: live_log,
+        })
         .unwrap_or_else(|e| fail(&format!("cannot start telemetry hub: {e}")));
         if let Some(addr) = hub.local_addr() {
             eprintln!("[sweep] live telemetry at http://{addr}/metrics | /snapshot | /events");
         }
-        Some(hub)
-    } else {
-        None
-    };
-    cfg.events = Some(wiring.event_recorder(cells.len(), hub.as_ref().map(|h| h.handle()), !quiet));
+        hub
+    });
+    let registry = hub
+        .as_ref()
+        .map(|h| h.registry().clone())
+        .unwrap_or_default();
+    let handle = hub.as_ref().map(Hub::handle);
+    cfg.events = Some(live::recorder(&registry, cells.len(), handle, !quiet));
 
     let t0 = std::time::Instant::now();
     let out = match sweep(&matrix, &cfg) {
@@ -537,12 +531,10 @@ fn cmd_sweep(args: &[String]) -> ! {
     };
 
     // Teardown order: ingest post-mortem trace gauges and critical-path
-    // shares first so the final epoch sample (taken by hub.shutdown)
-    // carries them, then a final counter mirror, then the hub's last
-    // sample + `end` frame.
-    wiring.ingest_traces(&out.gauges);
-    wiring.ingest_critpaths(&out.critpaths);
-    wiring.stop();
+    // shares first so the final epoch sample (taken by hub.shutdown,
+    // after a final counter mirror) carries them, then the `end` frame.
+    live::ingest_traces(&registry, &out.gauges);
+    live::ingest_critpaths(&registry, &out.critpaths);
     if let Some(hub) = hub {
         hub.shutdown();
     }
@@ -554,12 +546,14 @@ fn cmd_sweep(args: &[String]) -> ! {
         );
     }
     eprintln!(
-        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}",
+        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}; \
+         sequential baselines {:.1?}",
         t0.elapsed(),
         out.records.len(),
         out.executed,
         out.cached,
         out.quarantined.len(),
+        out.baseline_time,
     );
     if !out.quarantined.is_empty() {
         for label in &out.quarantined {
@@ -958,6 +952,7 @@ mod tests {
             sanitizes: Vec::new(),
             critpaths: Vec::new(),
             dropped_lines: 0,
+            baseline_time: Duration::ZERO,
             gauges: Vec::new(),
         };
         let doc = findings_json(dsl, &out);

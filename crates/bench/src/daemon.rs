@@ -1,17 +1,19 @@
 //! `bench serve` / `bench submit` — the sweep-as-a-service front end.
 //!
-//! `serve` runs a [`ccnuma_sweepd::Daemon`] with the bench live-telemetry
-//! wiring attached, so the daemon's own health (queue depth, in-flight
-//! cells, cache-hit ratio, store size) is served from the same registry
-//! as the simulator counters and `bench top --addr` works against it
-//! unchanged. `submit` is the thin client: POST a matrix DSL, optionally
-//! wait for completion, print the per-cell table.
+//! `serve` runs a [`ccnuma_sweepd::Daemon`] on the registry of a bench
+//! live-telemetry hub (no listener, no log: just the epoch loop), so the
+//! daemon's own health (queue depth, in-flight cells, cache-hit ratio,
+//! store size) is served from the same registry as the simulator
+//! counters and `bench top --addr` works against it unchanged. `submit`
+//! is the thin client: POST a matrix DSL, optionally wait for
+//! completion, print the per-cell table.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use ccnuma_sweep::store::CellRecord;
 use ccnuma_sweepd::{client, Daemon, DaemonConfig};
+use ccnuma_telemetry::hub::HubConfig;
 
 use crate::live;
 
@@ -21,7 +23,7 @@ pub struct ServeOpts {
     /// Daemon configuration (address, store, workers, idle timeout,
     /// per-cell run options).
     pub cfg: DaemonConfig,
-    /// Telemetry sampling period for the live wiring.
+    /// Telemetry sampling period of the epoch loop.
     pub epoch: Duration,
 }
 
@@ -121,13 +123,23 @@ fn parse_count(v: Option<&String>, flag: &str) -> Result<usize, String> {
 /// Runs the daemon until shutdown (POST /shutdown, or the idle timeout).
 /// Returns the process exit code.
 pub fn serve(opts: ServeOpts) -> i32 {
-    let wiring = live::Wiring::start(opts.epoch);
+    let cfg = HubConfig {
+        epoch: opts.epoch,
+        ..HubConfig::default()
+    };
+    let hub = match live::start_hub(cfg) {
+        Ok(h) => h,
+        Err(e) => {
+            eprintln!("error: cannot start telemetry: {e}");
+            return 1;
+        }
+    };
     let store = opts.cfg.store_path.clone();
-    let daemon = match Daemon::start(opts.cfg, wiring.registry.clone()) {
+    let daemon = match Daemon::start(opts.cfg, hub.registry().clone()) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: cannot start sweepd: {e}");
-            wiring.stop();
+            hub.shutdown();
             return 1;
         }
     };
@@ -141,11 +153,11 @@ pub fn serve(opts: ServeOpts) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: daemon failed: {e}");
-            wiring.stop();
+            hub.shutdown();
             return 1;
         }
     };
-    wiring.stop();
+    hub.shutdown();
     eprintln!(
         "[serve] stopped: {} job(s), {} cell(s) — {} cache hit(s), {} simulated, \
          {} quarantined, {} dropped; store {} record(s), {} byte(s)",

@@ -1,5 +1,5 @@
 //! Live-telemetry wiring for the `bench` binary: the registry schema,
-//! the refresher that mirrors the process-wide live counters (sim
+//! the hub whose epoch loop mirrors the process-wide live counters (sim
 //! engine, result store) into it and differentiates them into rates,
 //! the sweep lifecycle-event recorder, trace-gauge ingestion, and the
 //! `bench top` snapshot readers/renderer.
@@ -8,7 +8,7 @@
 //! of these values back, so enabling the wiring cannot change a run
 //! (pinned bit-identical in `tests/telemetry_live.rs`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,8 +17,8 @@ use ccnuma_sim::live::{LIVE_CAUSES, LIVE_CLASSES};
 use ccnuma_sim::trace::GaugeSample;
 use ccnuma_sweep::events::{EventSink, ExecEvent};
 use ccnuma_sweep::store::CellStatus;
-use ccnuma_telemetry::hub::HubHandle;
-use ccnuma_telemetry::{Counter, Gauge, Histogram, RateFilter, Registry};
+use ccnuma_telemetry::hub::{Hub, HubConfig, HubHandle};
+use ccnuma_telemetry::{http, Counter, Gauge, Histogram, RateFilter, Registry};
 
 /// Label values for the five classified miss-cause slots (the `attrib`
 /// taxonomy order).
@@ -32,23 +32,7 @@ pub const CLASS_LABELS: [&str; LIVE_CLASSES] = ["hub", "memory", "directory", "n
 /// The smoothing time constant for all rate gauges, seconds.
 const RATE_TAU_S: f64 = 2.0;
 
-/// The running wiring: a registry fed by a background refresher thread
-/// that mirrors the sim/store live counters every epoch and differentiates
-/// them into rate gauges.
-pub struct Wiring {
-    /// The registry every observer (hub, tests) snapshots.
-    pub registry: Registry,
-    stop: Arc<AtomicBool>,
-    refresher: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Wiring {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Wiring({:?})", self.registry)
-    }
-}
-
-/// Per-class rate state owned by the refresher.
+/// Per-class rate state owned by the epoch loop.
 struct ClassRates {
     service: Counter,
     queue: Counter,
@@ -58,195 +42,154 @@ struct ClassRates {
     queue_rate: RateFilter,
 }
 
-impl Wiring {
-    /// Registers the schema and starts the refresher at the given epoch.
-    pub fn start(epoch: Duration) -> Wiring {
-        let epoch = if epoch.is_zero() {
-            Duration::from_millis(250)
-        } else {
-            epoch
-        };
-        let r = Registry::new();
+/// Registers the schema on a fresh registry and starts a hub on it whose
+/// epoch loop, before each sample, mirrors the sim/store live counters
+/// and differentiates them into rate gauges.
+///
+/// # Errors
+///
+/// Any I/O error starting the hub (binding its address, opening its log).
+pub fn start_hub(cfg: HubConfig) -> std::io::Result<Hub> {
+    let r = Registry::new();
 
-        // --- sim engine/memsys layer -------------------------------
-        let runs_started = r.counter("sim_runs_started_total", "Simulation runs started");
-        let runs_finished = r.counter("sim_runs_finished_total", "Simulation runs finished");
-        let events = r.counter("sim_events_total", "Engine events processed");
-        let accesses = r.counter("sim_accesses_total", "Line-granular memory accesses");
-        let hits = r.counter("sim_hits_total", "Cache hits");
-        let misses = r.counter("sim_misses_total", "Cache misses");
-        let causes: Vec<Counter> = CAUSE_LABELS
-            .iter()
-            .map(|c| {
-                r.counter_with(
-                    "sim_miss_cause_total",
-                    &[("cause", c)],
-                    "Classified misses by cause (attrib taxonomy)",
-                )
-            })
-            .collect();
-        let stall = r.counter("sim_stall_ns_total", "Memory-stall nanoseconds charged");
-        let sim_ns = r.counter("sim_time_ns_total", "Simulated nanoseconds completed");
-        let ev_rate_g = r.gauge("sim_events_per_sec", "Engine events per host second (EWMA)");
-        let miss_rate_g = r.gauge("sim_misses_per_sec", "Cache misses per host second (EWMA)");
-        let classes: Vec<ClassRates> = CLASS_LABELS
-            .iter()
-            .map(|c| ClassRates {
-                service: r.counter_with(
-                    "sim_class_service_ns_total",
-                    &[("class", c)],
-                    "Uncontended service ns per resource class",
-                ),
-                queue: r.counter_with(
-                    "sim_class_queue_ns_total",
-                    &[("class", c)],
-                    "Queueing-delay ns per resource class",
-                ),
-                occupancy: r.gauge_with(
-                    "sim_class_occupancy_ns_per_sec",
-                    &[("class", c)],
-                    "Simulated service ns charged per host second (EWMA)",
-                ),
-                depth: r.gauge_with(
-                    "sim_class_queue_depth",
-                    &[("class", c)],
-                    "Queueing delay accumulated per host time: average \
-                     simulated transactions queued at the class, scaled by \
-                     sim/host speed (Little's law on d(queue_ns)/dt)",
-                ),
-                service_rate: RateFilter::new(RATE_TAU_S),
-                queue_rate: RateFilter::new(RATE_TAU_S),
-            })
-            .collect();
+    // --- sim engine/memsys layer -----------------------------------
+    let runs_started = r.counter("sim_runs_started_total", "Simulation runs started");
+    let runs_finished = r.counter("sim_runs_finished_total", "Simulation runs finished");
+    let events = r.counter("sim_events_total", "Engine events processed");
+    let accesses = r.counter("sim_accesses_total", "Line-granular memory accesses");
+    let hits = r.counter("sim_hits_total", "Cache hits");
+    let misses = r.counter("sim_misses_total", "Cache misses");
+    let causes: Vec<Counter> = CAUSE_LABELS
+        .iter()
+        .map(|c| {
+            r.counter_with(
+                "sim_miss_cause_total",
+                &[("cause", c)],
+                "Classified misses by cause (attrib taxonomy)",
+            )
+        })
+        .collect();
+    let stall = r.counter("sim_stall_ns_total", "Memory-stall nanoseconds charged");
+    let sim_ns = r.counter("sim_time_ns_total", "Simulated nanoseconds completed");
+    let ev_rate_g = r.gauge("sim_events_per_sec", "Engine events per host second (EWMA)");
+    let miss_rate_g = r.gauge("sim_misses_per_sec", "Cache misses per host second (EWMA)");
+    let mut classes: Vec<ClassRates> = CLASS_LABELS
+        .iter()
+        .map(|c| ClassRates {
+            service: r.counter_with(
+                "sim_class_service_ns_total",
+                &[("class", c)],
+                "Uncontended service ns per resource class",
+            ),
+            queue: r.counter_with(
+                "sim_class_queue_ns_total",
+                &[("class", c)],
+                "Queueing-delay ns per resource class",
+            ),
+            occupancy: r.gauge_with(
+                "sim_class_occupancy_ns_per_sec",
+                &[("class", c)],
+                "Simulated service ns charged per host second (EWMA)",
+            ),
+            depth: r.gauge_with(
+                "sim_class_queue_depth",
+                &[("class", c)],
+                "Queueing delay accumulated per host time: average \
+                 simulated transactions queued at the class, scaled by \
+                 sim/host speed (Little's law on d(queue_ns)/dt)",
+            ),
+            service_rate: RateFilter::new(RATE_TAU_S),
+            queue_rate: RateFilter::new(RATE_TAU_S),
+        })
+        .collect();
 
-        // --- sweep store layer -------------------------------------
-        let store_bytes = r.counter("sweep_store_bytes_total", "Bytes appended to result stores");
-        let store_recs = r.counter(
-            "sweep_store_records_total",
-            "Records appended to result stores",
-        );
+    // --- sweep store layer -----------------------------------------
+    let store_bytes = r.counter("sweep_store_bytes_total", "Bytes appended to result stores");
+    let store_recs = r.counter(
+        "sweep_store_records_total",
+        "Records appended to result stores",
+    );
 
-        // --- bench itself ------------------------------------------
-        // Constant-1 gauge whose labels carry the build identity, so a
-        // scraper can assert what it is talking to without parsing
-        // /snapshot.
-        r.gauge_with(
-            "build_info",
-            &[
-                ("version", env!("CARGO_PKG_VERSION")),
-                ("model", ccnuma_sim::MODEL_FINGERPRINT),
-            ],
-            "Always 1; the labels carry the crate version and the model fingerprint",
-        )
-        .set(1.0);
-        let uptime = r.gauge("bench_uptime_seconds", "Seconds since telemetry started");
-        let epochs = r.counter("bench_epochs_total", "Refresher epochs completed");
+    // --- bench itself ----------------------------------------------
+    // Constant-1 gauge whose labels carry the build identity, so a
+    // scraper can assert what it is talking to without parsing
+    // /snapshot.
+    r.gauge_with(
+        "build_info",
+        &[
+            ("version", env!("CARGO_PKG_VERSION")),
+            ("model", ccnuma_sim::MODEL_FINGERPRINT),
+        ],
+        "Always 1; the labels carry the crate version and the model fingerprint",
+    )
+    .set(1.0);
+    let uptime = r.gauge("bench_uptime_seconds", "Seconds since telemetry started");
+    let epochs = r.counter("bench_epochs_total", "Refresher epochs completed");
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let refresher = std::thread::Builder::new()
-            .name("bench-live-refresh".into())
-            .spawn(move || {
-                let t0 = Instant::now();
-                let mut last = Instant::now();
-                let mut ev_rate = RateFilter::new(RATE_TAU_S);
-                let mut miss_rate = RateFilter::new(RATE_TAU_S);
-                let mut classes = classes;
-                loop {
-                    let stopping = stop2.load(Ordering::SeqCst);
-                    let dt = last.elapsed().as_secs_f64();
-                    last = Instant::now();
-                    let snap = ccnuma_sim::live::LIVE.snapshot();
-                    runs_started.mirror(snap.runs_started);
-                    runs_finished.mirror(snap.runs_finished);
-                    events.mirror(snap.events);
-                    accesses.mirror(snap.accesses);
-                    hits.mirror(snap.hits);
-                    misses.mirror(snap.misses);
-                    for (i, c) in causes.iter().enumerate() {
-                        c.mirror(snap.miss_causes[i]);
-                    }
-                    stall.mirror(snap.mem_stall_ns);
-                    sim_ns.mirror(snap.sim_ns);
-                    ev_rate_g.set(ev_rate.update(snap.events, dt));
-                    miss_rate_g.set(miss_rate.update(snap.misses, dt));
-                    for (i, cr) in classes.iter_mut().enumerate() {
-                        cr.service.mirror(snap.service_ns[i]);
-                        cr.queue.mirror(snap.queue_ns[i]);
-                        cr.occupancy
-                            .set(cr.service_rate.update(snap.service_ns[i], dt));
-                        // d(queue_ns)/dt has units sim-ns of queueing per
-                        // host second; dividing by 1e9 yields queued
-                        // transactions x (sim seconds / host seconds).
-                        cr.depth
-                            .set(cr.queue_rate.update(snap.queue_ns[i], dt) / 1e9);
-                    }
-                    store_bytes
-                        .mirror(ccnuma_sweep::store::LIVE_BYTES_APPENDED.load(Ordering::Relaxed));
-                    store_recs
-                        .mirror(ccnuma_sweep::store::LIVE_RECORDS_APPENDED.load(Ordering::Relaxed));
-                    uptime.set(t0.elapsed().as_secs_f64());
-                    epochs.inc();
-                    if stopping {
-                        return;
-                    }
-                    let next = last + epoch;
-                    while Instant::now() < next && !stop2.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(10).min(epoch));
-                    }
-                }
-            })
-            .expect("spawn refresher");
-        Wiring {
-            registry: r,
-            stop,
-            refresher: Some(refresher),
+    let t0 = Instant::now();
+    let mut last = Instant::now();
+    let mut ev_rate = RateFilter::new(RATE_TAU_S);
+    let mut miss_rate = RateFilter::new(RATE_TAU_S);
+    let refresh = move || {
+        let dt = last.elapsed().as_secs_f64();
+        last = Instant::now();
+        let snap = ccnuma_sim::live::LIVE.snapshot();
+        runs_started.mirror(snap.runs_started);
+        runs_finished.mirror(snap.runs_finished);
+        events.mirror(snap.events);
+        accesses.mirror(snap.accesses);
+        hits.mirror(snap.hits);
+        misses.mirror(snap.misses);
+        for (i, c) in causes.iter().enumerate() {
+            c.mirror(snap.miss_causes[i]);
+        }
+        stall.mirror(snap.mem_stall_ns);
+        sim_ns.mirror(snap.sim_ns);
+        ev_rate_g.set(ev_rate.update(snap.events, dt));
+        miss_rate_g.set(miss_rate.update(snap.misses, dt));
+        for (i, cr) in classes.iter_mut().enumerate() {
+            cr.service.mirror(snap.service_ns[i]);
+            cr.queue.mirror(snap.queue_ns[i]);
+            cr.occupancy
+                .set(cr.service_rate.update(snap.service_ns[i], dt));
+            // d(queue_ns)/dt has units sim-ns of queueing per host
+            // second; dividing by 1e9 yields queued transactions x
+            // (sim seconds / host seconds).
+            cr.depth
+                .set(cr.queue_rate.update(snap.queue_ns[i], dt) / 1e9);
+        }
+        store_bytes.mirror(ccnuma_sweep::store::LIVE_BYTES_APPENDED.load(Ordering::Relaxed));
+        store_recs.mirror(ccnuma_sweep::store::LIVE_RECORDS_APPENDED.load(Ordering::Relaxed));
+        uptime.set(t0.elapsed().as_secs_f64());
+        epochs.inc();
+    };
+    Hub::start(r, cfg, refresh)
+}
+
+/// Mirrors the final epoch-sampled machine gauges of post-mortem traces
+/// into `registry` (one `cell`-labeled gauge set per traced cell),
+/// asserting per-cell reconciliation along the way.
+pub fn ingest_traces(registry: &Registry, gauges: &[(String, Vec<GaugeSample>)]) {
+    for (label, samples) in gauges {
+        if let Some(last) = ingest_gauges(registry, label, samples) {
+            debug_assert_eq!(
+                reconcile(registry, label, &last),
+                Ok(()),
+                "trace gauges and registry must agree for {label}"
+            );
         }
     }
+}
 
-    /// Stops the refresher after one final mirror pass, so the registry
-    /// holds the terminal counter state.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.refresher.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Builds a sweep event sink that records per-cell lifecycle into
-    /// the registry, optionally forwards each event to an SSE hub, and
-    /// optionally prints a live one-line progress summary to stderr.
-    pub fn event_recorder(
-        &self,
-        total_cells: usize,
-        hub: Option<HubHandle>,
-        progress: bool,
-    ) -> EventSink {
-        recorder(&self.registry, total_cells, hub, progress)
-    }
-
-    /// Mirrors the final epoch-sampled machine gauges of post-mortem
-    /// traces into the registry (one `cell`-labeled gauge set per
-    /// traced cell), asserting per-cell reconciliation along the way.
-    pub fn ingest_traces(&self, gauges: &[(String, Vec<GaugeSample>)]) {
-        for (label, samples) in gauges {
-            if let Some(last) = ingest_gauges(&self.registry, label, samples) {
-                debug_assert_eq!(
-                    reconcile(&self.registry, label, &last),
-                    Ok(()),
-                    "trace gauges and registry must agree for {label}"
-                );
-            }
-        }
-    }
-
-    /// Mirrors per-cell critical-path shares (and the headline `sync=0`
-    /// projection) into the registry, one `cell`-labeled gauge set per
-    /// profiled cell.
-    pub fn ingest_critpaths(&self, reports: &[(String, ccnuma_sim::critpath::CritReport)]) {
-        for (label, rep) in reports {
-            ingest_critpath(&self.registry, label, rep);
-        }
+/// Mirrors per-cell critical-path shares (and the headline `sync=0`
+/// projection) into `registry`, one `cell`-labeled gauge set per
+/// profiled cell.
+pub fn ingest_critpaths(
+    registry: &Registry,
+    reports: &[(String, ccnuma_sim::critpath::CritReport)],
+) {
+    for (label, rep) in reports {
+        ingest_critpath(registry, label, rep);
     }
 }
 
@@ -536,25 +479,11 @@ pub fn parse_epoch_record(line: &str) -> Option<EpochRecord> {
     Some(EpochRecord { seq, t_ms, metrics })
 }
 
-/// Fetches `/snapshot` from a running hub over a raw TCP GET and parses
-/// the body as an epoch record.
+/// Fetches `/snapshot` from a running hub (or daemon) and parses the
+/// body as an epoch record.
 pub fn fetch_snapshot(addr: &str) -> Result<EpochRecord, String> {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    write!(
-        s,
-        "GET /snapshot HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut buf = String::new();
-    s.read_to_string(&mut buf)
-        .map_err(|e| format!("read: {e}"))?;
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .ok_or("malformed HTTP response")?;
-    parse_epoch_record(body).ok_or_else(|| format!("malformed snapshot body: {body}"))
+    let (_, body) = http::request(addr, "GET", "/snapshot", "", Duration::from_secs(5))?;
+    parse_epoch_record(&body).ok_or_else(|| format!("malformed snapshot body: {body}"))
 }
 
 /// Reads the last complete epoch record of a `--live-log` JSONL file,
@@ -838,10 +767,14 @@ mod tests {
 
     #[test]
     fn wiring_mirrors_live_counters_and_stops() {
-        let w = Wiring::start(Duration::from_millis(10));
+        let cfg = HubConfig {
+            epoch: Duration::from_millis(10),
+            ..HubConfig::default()
+        };
+        let hub = start_hub(cfg).expect("hub starts");
         std::thread::sleep(Duration::from_millis(40));
-        let reg = w.registry.clone();
-        w.stop();
+        let reg = hub.registry().clone();
+        hub.shutdown();
         let rows = reg.snapshot();
         let epochs = rows
             .iter()

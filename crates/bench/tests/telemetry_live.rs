@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use ccnuma_sweep::matrix::MatrixSpec;
 use ccnuma_sweep::{sweep, SweepConfig};
-use ccnuma_telemetry::hub::{Hub, HubConfig};
+use ccnuma_telemetry::hub::HubConfig;
 use scaling_study::runner::execute_workload;
 use study_bench::live;
 
@@ -19,8 +19,8 @@ fn temp_dir(name: &str) -> PathBuf {
 
 /// The pin behind the whole design: telemetry observes and never
 /// participates. The same cell, simulated with no observer and then
-/// with the full stack running (registry refresher at a hot 2 ms
-/// epoch, HTTP server, JSONL epoch log), must produce bit-identical
+/// with the full stack running (epoch loop and counter mirror at a hot
+/// 2 ms epoch, HTTP server, JSONL epoch log), must produce bit-identical
 /// `RunStats`, the same wall clock, the same attribution JSON, and the
 /// same `RunKey` hash.
 #[test]
@@ -34,21 +34,16 @@ fn telemetry_is_observer_passive() {
         execute_workload(spec.workload().unwrap().as_ref(), spec.machine()).expect("bare run");
     let attrib_off = scaling_study::report::attrib_json(&spec.label(), &stats_off);
 
-    let wiring = live::Wiring::start(Duration::from_millis(2));
     let log = temp_dir("passive").join("epochs.jsonl");
-    let hub = Hub::start(
-        wiring.registry.clone(),
-        HubConfig {
-            epoch: Duration::from_millis(2),
-            addr: Some("127.0.0.1:0".into()),
-            log_path: Some(log),
-        },
-    )
+    let hub = live::start_hub(HubConfig {
+        epoch: Duration::from_millis(2),
+        addr: Some("127.0.0.1:0".into()),
+        log_path: Some(log),
+    })
     .expect("hub starts");
     let (ns_on, stats_on) =
         execute_workload(spec.workload().unwrap().as_ref(), spec.machine()).expect("observed run");
     let key_on = spec.key().hash_hex();
-    wiring.stop();
     hub.shutdown();
 
     assert_eq!(ns_off, ns_on, "wall clock must not see the observer");
@@ -71,26 +66,26 @@ fn live_log_is_parseable_and_monotone() {
     let matrix = MatrixSpec::parse("apps=fft versions=orig procs=2,4").unwrap();
     let cells = matrix.cells().len();
 
-    let wiring = live::Wiring::start(Duration::from_millis(5));
-    let hub = Hub::start(
-        wiring.registry.clone(),
-        HubConfig {
-            epoch: Duration::from_millis(5),
-            addr: None,
-            log_path: Some(log.clone()),
-        },
-    )
+    let hub = live::start_hub(HubConfig {
+        epoch: Duration::from_millis(5),
+        addr: None,
+        log_path: Some(log.clone()),
+    })
     .expect("hub starts");
     let mut cfg = SweepConfig {
         jobs: 2,
         store_path: dir.join("results.jsonl"),
         ..Default::default()
     };
-    cfg.events = Some(wiring.event_recorder(cells, Some(hub.handle()), false));
+    cfg.events = Some(live::recorder(
+        hub.registry(),
+        cells,
+        Some(hub.handle()),
+        false,
+    ));
     let out = sweep(&matrix, &cfg).expect("sweep runs");
     assert_eq!(out.executed, cells);
-    wiring.ingest_traces(&out.gauges);
-    wiring.stop();
+    live::ingest_traces(hub.registry(), &out.gauges);
     hub.shutdown();
 
     let text = std::fs::read_to_string(&log).expect("log written");
@@ -127,15 +122,11 @@ fn endpoints_serve_real_sweep_data() {
 
     let dir = temp_dir("http");
     let matrix = MatrixSpec::parse("apps=fft versions=orig procs=2").unwrap();
-    let wiring = live::Wiring::start(Duration::from_millis(5));
-    let hub = Hub::start(
-        wiring.registry.clone(),
-        HubConfig {
-            epoch: Duration::from_millis(5),
-            addr: Some("127.0.0.1:0".into()),
-            log_path: None,
-        },
-    )
+    let hub = live::start_hub(HubConfig {
+        epoch: Duration::from_millis(5),
+        addr: Some("127.0.0.1:0".into()),
+        log_path: None,
+    })
     .expect("hub starts");
     let addr = hub.local_addr().expect("bound");
 
@@ -143,9 +134,9 @@ fn endpoints_serve_real_sweep_data() {
         store_path: dir.join("results.jsonl"),
         ..Default::default()
     };
-    cfg.events = Some(wiring.event_recorder(1, Some(hub.handle()), false));
+    cfg.events = Some(live::recorder(hub.registry(), 1, Some(hub.handle()), false));
     sweep(&matrix, &cfg).expect("sweep runs");
-    // One refresher epoch so the registry has mirrored the final state.
+    // One epoch so the registry has mirrored the final state.
     std::thread::sleep(Duration::from_millis(30));
 
     let mut s = std::net::TcpStream::connect(addr).unwrap();
@@ -177,7 +168,6 @@ fn endpoints_serve_real_sweep_data() {
         "{snap:?}"
     );
 
-    wiring.stop();
     hub.shutdown();
 }
 

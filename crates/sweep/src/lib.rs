@@ -117,6 +117,9 @@ pub struct SweepOutcome {
     pub critpaths: Vec<(String, ccnuma_sim::critpath::CritReport)>,
     /// Lines dropped while loading the store (torn or foreign).
     pub dropped_lines: usize,
+    /// Host time spent this invocation computing sequential baselines,
+    /// each once; no record's `host_ms` includes it.
+    pub baseline_time: std::time::Duration,
     /// Epoch-sampled machine gauges of the cells *executed this
     /// invocation* with tracing enabled, sorted by label — the same
     /// series the per-cell trace files carry, handed back so a live
@@ -272,6 +275,7 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         sanitizes,
         critpaths,
         dropped_lines: store.dropped_lines,
+        baseline_time: executor.baseline_time(),
         gauges,
     })
 }

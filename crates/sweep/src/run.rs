@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -43,11 +44,13 @@ enum Attempt {
 /// sequential-baseline cache (one baseline per workload name, problem and
 /// sequential machine fingerprint, computed once no matter how many
 /// processor counts share it — concurrent requesters block on the same
-/// [`OnceLock`] instead of duplicating the run).
+/// [`OnceLock`] instead of duplicating the run). Baselines are timed
+/// apart from the cells that need them ([`Executor::baseline_time`]).
 #[derive(Default)]
 pub struct Executor {
     opts: RunOptions,
     baselines: Mutex<HashMap<(String, String, String), BaselineSlot>>,
+    baseline_ns: AtomicU64,
     events: Option<EventSink>,
 }
 
@@ -68,8 +71,7 @@ impl Executor {
     pub fn new(opts: RunOptions) -> Self {
         Executor {
             opts,
-            baselines: Mutex::new(HashMap::new()),
-            events: None,
+            ..Executor::default()
         }
     }
 
@@ -78,6 +80,13 @@ impl Executor {
     pub fn with_events(mut self, sink: EventSink) -> Self {
         self.events = Some(sink);
         self
+    }
+
+    /// Host time spent computing sequential baselines so far, each counted
+    /// once by the cell that computed it; no record's `host_ms` includes
+    /// it.
+    pub fn baseline_time(&self) -> Duration {
+        Duration::from_nanos(self.baseline_ns.load(Ordering::Relaxed))
     }
 
     /// Runs one cell to a terminal [`CellRecord`] — this never panics
@@ -126,24 +135,12 @@ impl Executor {
                 nprocs: spec.nprocs,
             },
         );
-        let mut kept_stats = None;
+        let mut done = None;
         for attempt in 0..=self.opts.retries {
             rec.attempts += 1;
             match self.attempt(spec, &label) {
                 Attempt::Done(res) => {
-                    let (wall, stats) = *res;
-                    match self.baseline_ns(spec) {
-                        Ok(seq) => {
-                            rec.status = CellStatus::Ok;
-                            rec.error = None;
-                            rec.set_stats(wall, seq, &stats);
-                            kept_stats = Some(stats);
-                        }
-                        Err(e) => {
-                            rec.status = CellStatus::Failed;
-                            rec.error = Some(format!("sequential baseline failed: {e}"));
-                        }
-                    }
+                    done = Some(*res);
                     break;
                 }
                 Attempt::Panicked(msg) => {
@@ -177,6 +174,21 @@ impl Executor {
             }
         }
         rec.host_ms = t0.elapsed().as_millis() as u64;
+        let mut kept_stats = None;
+        if let Some((wall, stats)) = done {
+            match self.baseline_ns(spec) {
+                Ok(seq) => {
+                    rec.status = CellStatus::Ok;
+                    rec.error = None;
+                    rec.set_stats(wall, seq, &stats);
+                    kept_stats = Some(stats);
+                }
+                Err(e) => {
+                    rec.status = CellStatus::Failed;
+                    rec.error = Some(format!("sequential baseline failed: {e}"));
+                }
+            }
+        }
         emit(
             &self.events,
             ExecEvent::Finished {
@@ -229,10 +241,14 @@ impl Executor {
             Arc::clone(map.entry(key).or_default())
         };
         slot.get_or_init(|| {
+            let t0 = Instant::now();
             let run = || execute_workload(w.as_ref(), seq_cfg).map_err(|e| e.to_string());
-            catch_unwind(AssertUnwindSafe(run))
+            let res = catch_unwind(AssertUnwindSafe(run))
                 .unwrap_or_else(|p| Err(format!("baseline panicked: {}", panic_message(p))))
-                .map(|(ns, _)| ns)
+                .map(|(ns, _)| ns);
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.baseline_ns.fetch_add(ns, Ordering::Relaxed);
+            res
         })
         .clone()
     }

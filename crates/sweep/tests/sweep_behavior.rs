@@ -109,6 +109,9 @@ fn fresh_sweep_then_resume_hits_cache_completely() {
     assert_eq!(first.executed, 2);
     assert_eq!(first.cached, 0);
     assert!(first.quarantined.is_empty(), "{:?}", first.quarantined);
+    // Both processor counts share one sequential baseline, timed apart
+    // from either cell's host_ms.
+    assert!(first.baseline_time > std::time::Duration::ZERO);
 
     let resumed = sweep(
         &matrix,
@@ -120,6 +123,7 @@ fn fresh_sweep_then_resume_hits_cache_completely() {
     .unwrap();
     assert_eq!(resumed.executed, 0, "resume must re-run nothing");
     assert_eq!(resumed.cached, 2);
+    assert_eq!(resumed.baseline_time, std::time::Duration::ZERO);
     assert_eq!(resumed.records, first.records, "cached records identical");
 }
 

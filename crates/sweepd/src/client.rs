@@ -1,15 +1,14 @@
 //! A small blocking client for the daemon, used by `bench submit` and
-//! the integration tests: raw `TcpStream` HTTP plus parsers for the
-//! daemon's JSON shapes (records are parsed by the store's own
+//! the integration tests: the shared [`http::request`] plus parsers for
+//! the daemon's JSON shapes (records are parsed by the store's own
 //! [`CellRecord::parse_line`], so a fetched record round-trips
 //! bit-identically).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use ccnuma_sim::json;
 use ccnuma_sweep::store::CellRecord;
+use ccnuma_telemetry::http;
 
 /// What `POST /sweep` answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,36 +49,14 @@ pub struct JobStatus {
     pub records: Vec<Option<CellRecord>>,
 }
 
-/// One raw HTTP round trip. Returns `(status code, body)`.
+/// One [`http::request`] round trip, with a read timeout long enough for
+/// an event stream that waits on a job.
 ///
 /// # Errors
 ///
-/// Connection or read failures, or an unparsable response head.
+/// As [`http::request`].
 pub fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: sweepd\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .map_err(|e| format!("sending request: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("reading response: {e}"))?;
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split_whitespace().next())
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| format!("unparsable response head: {:?}", raw.lines().next()))?;
-    let body = match raw.find("\r\n\r\n") {
-        Some(i) => raw[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
+    http::request(addr, method, path, body, Duration::from_secs(120))
 }
 
 /// A GET returning the body on 200, or the error body otherwise.

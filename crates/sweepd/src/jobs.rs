@@ -6,9 +6,8 @@
 //! just tracks which of *its* slots are filled and streams progress to
 //! its SSE subscribers.
 
-use std::sync::mpsc::Sender;
-
 use ccnuma_sweep::store::CellRecord;
+use ccnuma_telemetry::http::Subscribers;
 
 use ccnuma_sim::json;
 
@@ -32,7 +31,7 @@ pub struct Job {
     /// or another job's — shared cells count for every waiter).
     pub executed: usize,
     /// SSE subscribers to this job's progress frames.
-    pub subscribers: Vec<Sender<String>>,
+    pub subscribers: Subscribers,
 }
 
 impl Job {
@@ -98,13 +97,6 @@ impl Job {
         s.push_str("]}");
         s
     }
-
-    /// Sends one pre-formatted SSE frame to every subscriber, dropping
-    /// the ones whose connection has gone away.
-    pub fn broadcast(&mut self, frame: &str) {
-        self.subscribers
-            .retain(|tx| tx.send(frame.to_string()).is_ok());
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +139,7 @@ mod tests {
             records: vec![None, None],
             cached: 0,
             executed: 0,
-            subscribers: Vec::new(),
+            subscribers: Subscribers::default(),
         }
     }
 
@@ -176,17 +168,5 @@ mod tests {
         let line = record("bbb", "fft/orig/4p", CellStatus::Ok).to_json_line();
         assert!(json.contains(&line), "{json}");
         assert!(json.ends_with("]}"), "{json}");
-    }
-
-    #[test]
-    fn broadcast_drops_dead_subscribers() {
-        let mut j = job();
-        let (tx_live, rx_live) = std::sync::mpsc::channel();
-        let (tx_dead, rx_dead) = std::sync::mpsc::channel();
-        drop(rx_dead);
-        j.subscribers = vec![tx_live, tx_dead];
-        j.broadcast("event: cell\ndata: {}\n\n");
-        assert_eq!(j.subscribers.len(), 1, "dead channel pruned");
-        assert_eq!(rx_live.recv().unwrap(), "event: cell\ndata: {}\n\n");
     }
 }

@@ -8,8 +8,8 @@
 //! share one store: a cell any client ever simulated costs every later
 //! client a cache lookup instead of a simulation.
 //!
-//! The front end is a hand-rolled std-only HTTP server (the
-//! `ccnuma-telemetry` hub's listener idioms):
+//! The front end runs on [`ccnuma_telemetry::http::serve`], the one
+//! std-only HTTP server the telemetry hub also runs on:
 //!
 //! * `POST /sweep` — body is the matrix DSL the CLI takes
 //!   (`apps=fft,ocean versions=orig procs=2,4 scale=quick`); each

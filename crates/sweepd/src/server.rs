@@ -17,11 +17,10 @@
 //! and its SSE subscribers.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,8 +29,9 @@ use ccnuma_sweep::matrix::{CellSpec, MatrixSpec};
 use ccnuma_sweep::pool::TaskQueue;
 use ccnuma_sweep::run::{Executor, RunOptions};
 use ccnuma_sweep::store::{Store, StoreStats};
+use ccnuma_telemetry::expo;
+use ccnuma_telemetry::http::{self, Request, Stop};
 use ccnuma_telemetry::registry::{Counter, Gauge, Registry};
-use ccnuma_telemetry::{expo, http};
 
 use crate::jobs::Job;
 
@@ -199,7 +199,7 @@ impl Core {
             return;
         }
         let frame = http::sse_frame("cell", &ev.to_json());
-        let mut st = self.state.lock().expect("daemon state poisoned");
+        let st = self.state.lock().expect("daemon state poisoned");
         let mut jobs: Vec<u64> = st
             .inflight
             .values()
@@ -209,8 +209,8 @@ impl Core {
         jobs.sort_unstable();
         jobs.dedup();
         for id in jobs {
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.broadcast(&frame);
+            if let Some(job) = st.jobs.get(&id) {
+                job.subscribers.publish(&frame);
             }
         }
     }
@@ -223,8 +223,9 @@ struct Shared {
     queue: TaskQueue,
     registry: Registry,
     addr: SocketAddr,
-    stop: AtomicBool,
-    accepting: AtomicBool,
+    /// Set by `POST /shutdown`, [`Daemon::request_shutdown`] or the idle
+    /// timeout; once set, submissions are refused.
+    stop: Stop,
     started: Instant,
     seq: AtomicU64,
     last_activity: Mutex<Instant>,
@@ -257,7 +258,7 @@ impl Shared {
                 records: vec![None; cells.len()],
                 cached: 0,
                 executed: 0,
-                subscribers: Vec::new(),
+                subscribers: Default::default(),
             };
             let mut enqueued = 0usize;
             for (i, cell) in cells.iter().enumerate() {
@@ -342,12 +343,12 @@ impl Shared {
                 job.executed += 1;
             }
             job.records[idx] = Some(rec.clone());
-            job.broadcast(&frame);
+            job.subscribers.publish(&frame);
             if job.complete() {
                 let done = http::sse_frame("done", &job.summary_json());
-                job.broadcast(&done);
-                job.broadcast(&http::sse_frame("end", "{}"));
-                job.subscribers.clear();
+                job.subscribers.publish(&done);
+                job.subscribers.publish(&http::sse_frame("end", "{}"));
+                job.subscribers.close();
             }
         }
         drop(st);
@@ -386,15 +387,17 @@ impl Shared {
         expo::epoch_record(seq, self.started, &self.registry)
     }
 
-    /// Flips the daemon into shutdown: stop accepting, wake the accept
-    /// loop. [`Daemon::join`] does the teardown.
-    fn begin_shutdown(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
+    /// When the idle timeout would next fire: `timeout` after the last
+    /// request or finished cell, or from now while work is queued or
+    /// running. `None` without an idle timeout.
+    fn idle_deadline(&self) -> Option<Instant> {
+        let timeout = self.idle_timeout?;
+        let from = if self.queue.queued() + self.queue.running() > 0 {
+            Instant::now()
+        } else {
+            *self.last_activity.lock().expect("activity clock poisoned")
+        };
+        Some(from + timeout)
     }
 }
 
@@ -402,8 +405,7 @@ impl Shared {
 /// shutdown request (or idle timeout) and tear down cleanly.
 pub struct Daemon {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    idle: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -415,7 +417,7 @@ impl std::fmt::Debug for Daemon {
 impl Daemon {
     /// Opens the store, spawns the workers and the listener, and
     /// registers the health metrics on `registry` (pass the registry a
-    /// `live::Wiring` observes and `bench top` sees daemon health
+    /// telemetry hub samples and `bench top` sees daemon health
     /// alongside engine counters).
     ///
     /// # Errors
@@ -430,7 +432,7 @@ impl Daemon {
         let sink_core = Arc::clone(&core);
         let sink: EventSink = Arc::new(move |ev| sink_core.route_event(ev));
         let executor = Executor::new(cfg.opts.clone()).with_events(sink);
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let (listener, stop) = http::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             core,
@@ -439,35 +441,17 @@ impl Daemon {
             queue: TaskQueue::start(cfg.workers),
             registry,
             addr,
-            stop: AtomicBool::new(false),
-            accepting: AtomicBool::new(true),
+            stop: stop.clone(),
             started: Instant::now(),
             seq: AtomicU64::new(0),
             last_activity: Mutex::new(Instant::now()),
             idle_timeout: cfg.idle_timeout,
         });
-        let accept = {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sweepd-http".into())
-                .spawn(move || serve(listener, sh))?
-        };
-        let idle = match shared.idle_timeout {
-            None => None,
-            Some(timeout) => {
-                let sh = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("sweepd-idle".into())
-                        .spawn(move || idle_watch(&sh, timeout))?,
-                )
-            }
-        };
-        Ok(Daemon {
-            shared,
-            accept: Some(accept),
-            idle,
-        })
+        let sh = Arc::clone(&shared);
+        let accept = http::serve(listener, stop, "sweepd-http", move |req, stream| {
+            handle_conn(req, stream, &sh)
+        })?;
+        Ok(Daemon { shared, accept })
     }
 
     /// The bound listen address (useful with port 0).
@@ -477,7 +461,7 @@ impl Daemon {
 
     /// Requests a graceful shutdown, exactly like `POST /shutdown`.
     pub fn request_shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.shared.stop.stop();
     }
 
     /// Serves until shutdown is requested (HTTP, [`request_shutdown`],
@@ -491,31 +475,26 @@ impl Daemon {
     /// # Errors
     ///
     /// Any I/O error syncing the store.
-    pub fn join(mut self) -> std::io::Result<DaemonSummary> {
-        while !self.shared.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(25));
+    pub fn join(self) -> std::io::Result<DaemonSummary> {
+        let sh = &self.shared;
+        while !sh.stop.wait_until(sh.idle_deadline()) {
+            if sh.idle_deadline().is_some_and(|d| d <= Instant::now()) {
+                sh.stop.stop();
+            }
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        let _ = self.accept.join();
         // Joins the workers: running cells complete and append first.
         let dropped = self.shared.queue.shutdown();
-        if let Some(h) = self.idle.take() {
-            let _ = h.join();
-        }
+        for job in sh
+            .core
+            .state
+            .lock()
+            .expect("daemon state poisoned")
+            .jobs
+            .values()
         {
-            let mut st = self
-                .shared
-                .core
-                .state
-                .lock()
-                .expect("daemon state poisoned");
-            for job in st.jobs.values_mut() {
-                if !job.subscribers.is_empty() {
-                    job.broadcast(&http::sse_frame("end", "{}"));
-                    job.subscribers.clear();
-                }
-            }
+            job.subscribers.publish(&http::sse_frame("end", "{}"));
+            job.subscribers.close();
         }
         self.shared.store.sync()?;
         let m = &self.shared.core.metrics;
@@ -531,44 +510,9 @@ impl Daemon {
     }
 }
 
-fn idle_watch(shared: &Arc<Shared>, timeout: Duration) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        if shared.queue.queued() + shared.queue.running() > 0 {
-            continue;
-        }
-        let idle_for = shared
-            .last_activity
-            .lock()
-            .expect("activity clock poisoned")
-            .elapsed();
-        if idle_for >= timeout {
-            shared.begin_shutdown();
-            return;
-        }
-    }
-}
-
-/// The accept loop: one handler thread per connection.
-fn serve(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("sweepd-conn".into())
-            .spawn(move || handle_conn(stream, &sh));
-    }
-}
-
-fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let req = match http::read_request(&mut BufReader::new(&stream)) {
+/// Routes one request.
+fn handle_conn(req: Result<Request, String>, mut stream: TcpStream, shared: &Arc<Shared>) {
+    let req = match req {
         Ok(req) => req,
         Err(e) => {
             shared.core.metrics.bad_requests.inc();
@@ -590,7 +534,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
             http::respond_json(&mut stream, "200 OK", &body);
         }
         ("POST", "/sweep") => {
-            if !shared.accepting.load(Ordering::SeqCst) {
+            if shared.stop.is_set() {
                 http::respond_error(&mut stream, "503 Service Unavailable", "shutting down");
                 return;
             }
@@ -604,7 +548,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
         ("POST", "/shutdown") => {
             http::respond(&mut stream, "200 OK", "text/plain", "shutting down\n");
-            shared.begin_shutdown();
+            shared.stop.stop();
         }
         ("GET", p) if p.starts_with("/jobs/") => {
             let rest = &p["/jobs/".len()..];
@@ -652,56 +596,27 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
 /// The per-job SSE endpoint: an initial `job` summary frame, then every
 /// `cell` lifecycle frame as it happens, closed by `done` + `end` when
 /// the job completes (immediately, for an already-complete job).
-fn serve_job_events(mut stream: TcpStream, shared: &Arc<Shared>, id: u64) {
-    enum Sub {
-        Missing,
-        Done(String),
-        Live(String, mpsc::Receiver<String>),
-    }
-    // Register under the state lock: no frame can slip between the
+fn serve_job_events(mut stream: TcpStream, shared: &Shared, id: u64) {
+    // Subscribe under the state lock: no frame can slip between the
     // summary we capture and the subscription.
     let sub = {
-        let mut st = shared.core.state.lock().expect("daemon state poisoned");
-        match st.jobs.get_mut(&id) {
-            None => Sub::Missing,
-            Some(job) if job.complete() => Sub::Done(job.summary_json()),
-            Some(job) => {
-                let (tx, rx) = mpsc::channel();
-                job.subscribers.push(tx);
-                Sub::Live(job.summary_json(), rx)
-            }
-        }
-    };
-    if let Sub::Missing = sub {
-        http::respond_error(&mut stream, "404 Not Found", "no such job");
-        return;
-    }
-    if stream.write_all(http::SSE_HEAD.as_bytes()).is_err() {
-        return;
-    }
-    match sub {
-        Sub::Missing => unreachable!("handled above"),
-        Sub::Done(summary) => {
-            let mut body = http::sse_frame("job", &summary);
-            body.push_str(&http::sse_frame("done", &summary));
-            body.push_str(&http::sse_frame("end", "{}"));
-            let _ = stream.write_all(body.as_bytes());
-            let _ = stream.flush();
-        }
-        Sub::Live(summary, rx) => {
+        let st = shared.core.state.lock().expect("daemon state poisoned");
+        st.jobs.get(&id).map(|job| {
+            let summary = job.summary_json();
             let first = http::sse_frame("job", &summary);
-            if stream.write_all(first.as_bytes()).is_err() || stream.flush().is_err() {
-                return;
+            if job.complete() {
+                let rest = http::sse_frame("done", &summary) + &http::sse_frame("end", "{}");
+                (first + &rest, None)
+            } else {
+                (first, Some(job.subscribers.subscribe()))
             }
-            // Ends when every sender is dropped: job completion or
-            // daemon shutdown clears the subscriber list after the
-            // `end` frame; a client disconnect surfaces as a write
-            // error.
-            while let Ok(frame) = rx.recv() {
-                if stream.write_all(frame.as_bytes()).is_err() || stream.flush().is_err() {
-                    return;
-                }
-            }
-        }
+        })
+    };
+    match sub {
+        None => http::respond_error(&mut stream, "404 Not Found", "no such job"),
+        // Ends when the job completes or the daemon shuts down (both
+        // close the subscribers after the `end` frame), or when the
+        // client disconnects.
+        Some((first, rx)) => http::stream_events(&mut stream, &first, rx),
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end daemon behavior: many clients, one shared
 //! content-addressed cache.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -261,6 +261,40 @@ fn sse_streams_job_progress_and_quarantine_is_reported() {
     client::shutdown(&addr).unwrap();
     let summary = daemon.join().unwrap();
     assert_eq!(summary.quarantined, 1);
+}
+
+#[test]
+fn shutdown_mid_job_ends_its_event_stream_and_drops_the_backlog() {
+    let (daemon, addr, _) = start_daemon("shutdown", 1);
+    // Four full-scale cells on one worker: the job cannot finish before
+    // the shutdown below lands.
+    let resp = client::submit(&addr, "apps=radix versions=orig scale=full procs=2,4,8,16").unwrap();
+    assert_eq!(resp.enqueued, 4, "{resp:?}");
+
+    let mut s = TcpStream::connect(&addr).unwrap();
+    write!(
+        s,
+        "GET /jobs/{}/events HTTP/1.1\r\nHost: x\r\n\r\n",
+        resp.job
+    )
+    .unwrap();
+    let mut stream = BufReader::new(s);
+    let mut head = String::new();
+    while !(head.contains("event: job\ndata: ") && head.ends_with("\n\n")) {
+        let n = stream.read_line(&mut head).expect("read the job frame");
+        assert!(n > 0, "stream ended before the job frame: {head}");
+    }
+
+    daemon.request_shutdown();
+    let summary = daemon.join().expect("join returns");
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).expect("stream closes");
+    assert!(!rest.contains("event: done"), "job never completed: {rest}");
+    assert!(
+        rest.trim_end().ends_with("event: end\ndata: {}"),
+        "ends with the end frame: {rest}"
+    );
+    assert!(summary.dropped_tasks > 0, "{summary:?}");
 }
 
 #[test]

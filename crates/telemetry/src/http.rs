@@ -1,17 +1,37 @@
 //! Minimal HTTP/1.1 plumbing shared by the telemetry hub and the sweep
-//! daemon: request parsing hardened against malformed input (a public-ish
-//! port must never panic on a bad byte stream) and response/SSE framing.
+//! daemon: the one server both run on ([`Stop`], [`serve`],
+//! [`Subscribers`], [`stream_events`]), request parsing hardened against
+//! malformed input (a public-ish port must never panic on a bad byte
+//! stream), response/SSE framing, and the one blocking client.
 //!
-//! Deliberately tiny: a method, a path and a `Content-Length` body.
-//! Anything else is rejected with a JSON error body, never a panic.
+//! Deliberately tiny: a method, a path and a `Content-Length` body, each
+//! bounded. Anything else is rejected with a JSON error body, never a
+//! panic.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::Registry;
 
 /// Upper bound on request bodies. Matrix DSL strings are tens of bytes;
 /// a megabyte means a confused or hostile client.
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Upper bound on the request line and on each header line, CRLF
+/// included.
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Upper bound on the number of headers in one request.
+pub const MAX_HEADERS: usize = 64;
+
+/// How long [`serve`] waits on any one read of a request before
+/// answering `400`: a client that connects and sends nothing cannot
+/// hold its thread.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One parsed request: method, path, and (possibly empty) body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,17 +44,27 @@ pub struct Request {
     pub body: String,
 }
 
+/// Reads one line of at most [`MAX_LINE`] bytes.
+fn read_line<R: BufRead>(r: &mut R, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    r.take(MAX_LINE as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("reading {what}: {e}"))?;
+    if line.len() == MAX_LINE && !line.ends_with('\n') {
+        return Err(format!("{what} longer than {MAX_LINE} bytes"));
+    }
+    Ok(line)
+}
+
 /// Reads and validates one request from `r`.
 ///
 /// # Errors
 ///
 /// A description of the first malformed element — request line, header,
-/// oversized or non-UTF-8 body, truncated stream. Servers map every one
-/// to a 400 response.
+/// oversized line, too many headers, oversized or non-UTF-8 body,
+/// truncated stream. Servers map every one to a 400 response.
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, String> {
-    let mut line = String::new();
-    r.read_line(&mut line)
-        .map_err(|e| format!("reading request line: {e}"))?;
+    let line = read_line(r, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -46,17 +76,17 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, String> {
         return Err(format!("malformed request path {path:?}"));
     }
     let mut content_len = 0usize;
-    loop {
-        let mut header = String::new();
-        let n = r
-            .read_line(&mut header)
-            .map_err(|e| format!("reading header: {e}"))?;
-        if n == 0 {
+    for headers in 0.. {
+        let header = read_line(r, "header")?;
+        if header.is_empty() {
             return Err("connection closed inside headers".into());
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} headers"));
         }
         let Some((k, v)) = header.split_once(':') else {
             return Err(format!("malformed header {header:?}"));
@@ -78,6 +108,116 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, String> {
         .map_err(|e| format!("reading body: {e}"))?;
     let body = String::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
     Ok(Request { method, path, body })
+}
+
+/// A shutdown latch: set once by [`Stop::stop`], waited on by any number
+/// of threads. Clones share the one latch; the default wakes no listener.
+#[derive(Debug, Clone, Default)]
+pub struct Stop(Arc<Latch>);
+
+#[derive(Debug, Default)]
+struct Latch {
+    set: Mutex<bool>,
+    cv: Condvar,
+    /// The listener whose blocked `accept` a stop must wake.
+    wake: Option<SocketAddr>,
+}
+
+impl Stop {
+    /// Sets the latch and wakes every waiter; for a latch from [`bind`],
+    /// also unblocks the accept loop with one throwaway connection.
+    /// Idempotent.
+    pub fn stop(&self) {
+        if !std::mem::replace(&mut *self.lock(), true) {
+            self.0.cv.notify_all();
+            if let Some(addr) = self.0.wake {
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+            }
+        }
+    }
+
+    /// Whether the latch is set.
+    pub fn is_set(&self) -> bool {
+        *self.lock()
+    }
+
+    /// Blocks until the latch is set or `deadline` passes (`None`: no
+    /// deadline). Returns whether the latch is set.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> bool {
+        let (set, unset) = (self.lock(), |set: &mut bool| !*set);
+        match deadline {
+            None => *self
+                .0
+                .cv
+                .wait_while(set, unset)
+                .expect("stop latch poisoned"),
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                let waited = self.0.cv.wait_timeout_while(set, left, unset);
+                *waited.expect("stop latch poisoned").0
+            }
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, bool> {
+        self.0.set.lock().expect("stop latch poisoned")
+    }
+}
+
+/// Binds `addr` and returns the listener with the latch that stops
+/// [`serve`]ing it. Separate from [`serve`] so a handler can hold the
+/// latch it stops.
+///
+/// # Errors
+///
+/// Any I/O error binding the address.
+pub fn bind(addr: &str) -> std::io::Result<(TcpListener, Stop)> {
+    let listener = TcpListener::bind(addr)?;
+    let stop = Stop(Arc::new(Latch {
+        wake: Some(listener.local_addr()?),
+        ..Latch::default()
+    }));
+    Ok((listener, stop))
+}
+
+/// Spawns the accept loop, thread `name`, until `stop` is set. Each
+/// connection gets a `{name}-conn` thread, a [`READ_TIMEOUT`], and one
+/// `handle` call with its parsed request (or the parse error, which the
+/// handler answers with a 400) and the stream.
+///
+/// # Errors
+///
+/// Any I/O error spawning the accept thread.
+pub fn serve<F>(
+    listener: TcpListener,
+    stop: Stop,
+    name: &str,
+    handle: F,
+) -> std::io::Result<JoinHandle<()>>
+where
+    F: Fn(Result<Request, String>, TcpStream) + Send + Sync + 'static,
+{
+    let handle = Arc::new(handle);
+    let conn_name = format!("{name}-conn");
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || loop {
+            let conn = listener.accept();
+            if stop.is_set() {
+                return;
+            }
+            let Ok((stream, _)) = conn else { continue };
+            let handle = Arc::clone(&handle);
+            let _ = std::thread::Builder::new()
+                .name(conn_name.clone())
+                .spawn(move || {
+                    let req = stream
+                        .set_read_timeout(Some(READ_TIMEOUT))
+                        .map_err(|e| format!("setting read timeout: {e}"))
+                        .and_then(|()| read_request(&mut BufReader::new(&stream)));
+                    handle(req, stream);
+                });
+        })
 }
 
 /// Writes one complete HTTP/1.1 response (connection: close). Write
@@ -120,6 +260,96 @@ pub const SSE_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r
 /// Formats one SSE frame (`event: kind` + one `data:` line).
 pub fn sse_frame(kind: &str, data: &str) -> String {
     format!("event: {kind}\ndata: {data}\n\n")
+}
+
+/// The open SSE streams of one event source: each subscriber is a
+/// channel its connection thread forwards from ([`stream_events`]).
+#[derive(Debug, Default)]
+pub struct Subscribers(Mutex<Vec<Sender<String>>>);
+
+impl Subscribers {
+    /// Opens one subscription.
+    pub fn subscribe(&self) -> Receiver<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.lock().push(tx);
+        rx
+    }
+
+    /// Sends one pre-formatted SSE frame to every subscriber, dropping
+    /// the ones whose connection has gone away.
+    pub fn publish(&self, frame: &str) {
+        self.lock().retain(|tx| tx.send(frame.to_string()).is_ok());
+    }
+
+    /// Drops every subscription, ending each stream once it has
+    /// forwarded the frames already published.
+    pub fn close(&self) {
+        self.lock().clear();
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Sender<String>>> {
+        self.0.lock().expect("subscriber lock poisoned")
+    }
+}
+
+/// One SSE response: the head and `first` (one or more frames), then
+/// every frame `rx` delivers until its senders are gone or the client
+/// leaves.
+pub fn stream_events<W: Write>(stream: &mut W, first: &str, rx: Option<Receiver<String>>) {
+    let mut send = |text: &str| {
+        stream
+            .write_all(text.as_bytes())
+            .and_then(|()| stream.flush())
+            .is_ok()
+    };
+    if !send(&format!("{SSE_HEAD}{first}")) {
+        return;
+    }
+    let Some(rx) = rx else { return };
+    for frame in rx {
+        if !send(&frame) {
+            return;
+        }
+    }
+}
+
+/// One blocking HTTP round trip with the given read timeout. Returns
+/// `(status code, body)`.
+///
+/// # Errors
+///
+/// Connection or read failures, or an unparsable response head.
+pub fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    timeout: Duration,
+) -> Result<(u16, String), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(timeout));
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body.as_bytes()))
+        .map_err(|e| format!("sending request: {e}"))?;
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .map_err(|e| format!("reading response: {e}"))?;
+    let status: u16 = raw
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|r| r.split_whitespace().next())
+        .and_then(|c| c.parse().ok())
+        .ok_or_else(|| format!("unparsable response head: {:?}", raw.lines().next()))?;
+    let body = match raw.find("\r\n\r\n") {
+        Some(i) => raw[i + 4..].to_string(),
+        None => String::new(),
+    };
+    Ok((status, body))
 }
 
 #[cfg(test)]
@@ -179,6 +409,45 @@ mod tests {
         );
         let err = parse(&raw).unwrap_err();
         assert!(err.contains("too large"), "{err}");
+    }
+
+    #[test]
+    fn oversized_lines_and_too_many_headers_are_rejected() {
+        // A header line of exactly MAX_LINE bytes, CRLF included, passes.
+        let fits = format!("X: {}\r\n", "a".repeat(MAX_LINE - 5));
+        assert_eq!(fits.len(), MAX_LINE);
+        assert!(parse(&format!("GET / HTTP/1.1\r\n{fits}\r\n")).is_ok());
+        let big = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(MAX_LINE));
+        let err = parse(&big).unwrap_err();
+        assert!(err.contains("header longer than"), "{err}");
+        let err = parse(&format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE))).unwrap_err();
+        assert!(err.contains("request line longer than"), "{err}");
+
+        let headers = |n: usize| "H: v\r\n".repeat(n);
+        assert!(parse(&format!("GET / HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS))).is_ok());
+        let err = parse(&format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            headers(MAX_HEADERS + 1)
+        ))
+        .unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+    }
+
+    #[test]
+    fn subscribers_drop_dead_receivers_and_close_ends_streams() {
+        let subs = Subscribers::default();
+        let live = subs.subscribe();
+        drop(subs.subscribe());
+        subs.publish("event: cell\ndata: {}\n\n");
+        assert_eq!(subs.lock().len(), 1, "dead channel pruned");
+        assert_eq!(live.recv().unwrap(), "event: cell\ndata: {}\n\n");
+
+        subs.publish("event: end\ndata: {}\n\n");
+        subs.close();
+        let mut out = Vec::new();
+        stream_events(&mut out, "first\n", Some(live));
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text, format!("{SSE_HEAD}first\nevent: end\ndata: {{}}\n\n"));
     }
 
     #[test]

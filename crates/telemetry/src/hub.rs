@@ -1,6 +1,6 @@
 //! The observer: an epoch sampler that snapshots a [`Registry`] on a
 //! host-time cadence, appends each sample to a crash-safe JSONL log, and
-//! serves live state over a minimal std-only HTTP server:
+//! serves live state on the shared [`http::serve`] server:
 //!
 //! * `GET /metrics` — Prometheus text exposition (fresh snapshot).
 //! * `GET /snapshot` — one JSON epoch record (fresh snapshot).
@@ -14,17 +14,17 @@
 //! with the same single-flushed-write discipline as the sweep store so a
 //! crash can tear at most the final line.
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::expo;
+use crate::http::{self, Request, Stop, Subscribers};
 use crate::registry::Registry;
-use crate::{expo, http};
 
 /// How the hub observes and publishes.
 #[derive(Debug, Clone, Default)]
@@ -40,23 +40,15 @@ pub struct HubConfig {
 
 struct Shared {
     registry: Registry,
-    stop: AtomicBool,
     seq: AtomicU64,
     started: Instant,
-    subscribers: Mutex<Vec<Sender<String>>>,
+    subscribers: Subscribers,
 }
 
 impl Shared {
     /// One epoch record from a fresh registry snapshot.
     fn epoch_record(&self, seq: u64) -> String {
         expo::epoch_record(seq, self.started, &self.registry)
-    }
-
-    /// Sends one pre-formatted SSE frame to every subscriber, dropping
-    /// the ones whose connection has gone away.
-    fn broadcast(&self, frame: &str) {
-        let mut subs = self.subscribers.lock().expect("subscriber lock poisoned");
-        subs.retain(|tx| tx.send(frame.to_string()).is_ok());
     }
 }
 
@@ -75,7 +67,7 @@ impl HubHandle {
     /// Publishes one application event: `data` must be a complete JSON
     /// value; it is framed as an SSE event of the given `kind`.
     pub fn publish(&self, kind: &str, data: &str) {
-        self.0.broadcast(&http::sse_frame(kind, data));
+        self.0.subscribers.publish(&http::sse_frame(kind, data));
     }
 }
 
@@ -84,7 +76,8 @@ impl HubHandle {
 pub struct Hub {
     shared: Arc<Shared>,
     addr: Option<SocketAddr>,
-    sampler: Option<JoinHandle<()>>,
+    stop: Stop,
+    sampler: JoinHandle<()>,
     server: Option<JoinHandle<()>>,
 }
 
@@ -96,8 +89,13 @@ impl std::fmt::Debug for Hub {
 
 impl Hub {
     /// Starts the sampler (and, when configured, the log writer and the
-    /// HTTP server) observing `registry`.
-    pub fn start(registry: Registry, cfg: HubConfig) -> std::io::Result<Hub> {
+    /// HTTP server) observing `registry`. The sampler is the process's
+    /// epoch loop: once per epoch, and once more at shutdown, it calls
+    /// `refresh` (which brings the registry up to date) and then samples.
+    pub fn start<F>(registry: Registry, cfg: HubConfig, mut refresh: F) -> std::io::Result<Hub>
+    where
+        F: FnMut() + Send + 'static,
+    {
         let epoch = if cfg.epoch.is_zero() {
             Duration::from_millis(250)
         } else {
@@ -105,10 +103,9 @@ impl Hub {
         };
         let shared = Arc::new(Shared {
             registry,
-            stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             started: Instant::now(),
-            subscribers: Mutex::new(Vec::new()),
+            subscribers: Subscribers::default(),
         });
 
         let mut log = match &cfg.log_path {
@@ -121,35 +118,30 @@ impl Hub {
             ),
         };
 
-        let (addr, server) = match &cfg.addr {
-            None => (None, None),
+        let (stop, addr, server) = match &cfg.addr {
+            None => (Stop::default(), None, None),
             Some(a) => {
-                let listener = TcpListener::bind(a)?;
+                let (listener, stop) = http::bind(a)?;
                 let local = listener.local_addr()?;
                 let sh = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name("telemetry-http".into())
-                    .spawn(move || serve(listener, sh))?;
-                (Some(local), Some(h))
+                let h = http::serve(listener, stop.clone(), "telemetry-http", move |req, s| {
+                    handle_conn(req, s, &sh)
+                })?;
+                (stop, Some(local), Some(h))
             }
         };
 
         let sampler = {
             let sh = Arc::clone(&shared);
+            let stop = stop.clone();
             std::thread::Builder::new()
                 .name("telemetry-sampler".into())
                 .spawn(move || {
                     let mut next = Instant::now() + epoch;
                     loop {
-                        // Sleep in short slices so shutdown is prompt.
-                        while Instant::now() < next {
-                            if sh.stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10).min(epoch));
-                        }
-                        let stopping = sh.stop.load(Ordering::SeqCst);
+                        let stopping = stop.wait_until(Some(next));
                         next += epoch;
+                        refresh();
                         let seq = sh.seq.fetch_add(1, Ordering::SeqCst) + 1;
                         let rec = sh.epoch_record(seq);
                         if let Some(f) = log.as_mut() {
@@ -160,15 +152,12 @@ impl Hub {
                             let _ = f.write_all(line.as_bytes());
                             let _ = f.flush();
                         }
-                        sh.broadcast(&http::sse_frame("epoch", &rec));
+                        sh.subscribers.publish(&http::sse_frame("epoch", &rec));
                         if stopping {
                             // Final sample taken; announce the end and
                             // release every subscriber.
-                            sh.broadcast(&http::sse_frame("end", "{}"));
-                            sh.subscribers
-                                .lock()
-                                .expect("subscriber lock poisoned")
-                                .clear();
+                            sh.subscribers.publish(&http::sse_frame("end", "{}"));
+                            sh.subscribers.close();
                             return;
                         }
                     }
@@ -178,7 +167,8 @@ impl Hub {
         Ok(Hub {
             shared,
             addr,
-            sampler: Some(sampler),
+            stop,
+            sampler,
             server,
         })
     }
@@ -186,6 +176,11 @@ impl Hub {
     /// The HTTP server's bound address (useful with port 0).
     pub fn local_addr(&self) -> Option<SocketAddr> {
         self.addr
+    }
+
+    /// The registry the hub samples.
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// A clonable handle for publishing application events.
@@ -196,39 +191,18 @@ impl Hub {
     /// Stops the sampler and server, taking one final epoch sample (so
     /// the log ends with the terminal state) and closing every SSE
     /// stream with an `end` event.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
-        // Unblock the accept loop with a throwaway connection.
-        if let Some(addr) = self.addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
-        }
-        if let Some(h) = self.server.take() {
+    pub fn shutdown(self) {
+        self.stop.stop();
+        let _ = self.sampler.join();
+        if let Some(h) = self.server {
             let _ = h.join();
         }
     }
 }
 
-/// The accept loop: one handler thread per connection.
-fn serve(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("telemetry-conn".into())
-            .spawn(move || handle_conn(stream, sh));
-    }
-}
-
-/// Parses the request and routes.
-fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
-    let req = match http::read_request(&mut BufReader::new(&stream)) {
+/// Routes one request.
+fn handle_conn(req: Result<Request, String>, mut stream: TcpStream, shared: &Shared) {
+    let req = match req {
         Ok(req) => req,
         Err(e) => return http::respond_error(&mut stream, "400 Bad Request", &e),
     };
@@ -243,7 +217,13 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
             let body = format!("{}\n", shared.epoch_record(seq));
             http::respond_json(&mut stream, "200 OK", &body);
         }
-        "/events" => serve_events(stream, &shared),
+        // Subscribe before the first frame, so no epoch falls between.
+        "/events" => {
+            let rx = shared.subscribers.subscribe();
+            let seq = shared.seq.load(Ordering::SeqCst);
+            let first = http::sse_frame("epoch", &shared.epoch_record(seq));
+            http::stream_events(&mut stream, &first, Some(rx));
+        }
         // Liveness probe: scrapers and CI can check the hub is up
         // without parsing a snapshot.
         "/healthz" => http::respond(&mut stream, "200 OK", "text/plain", "ok\n"),
@@ -256,38 +236,6 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// The SSE endpoint: subscribes to the broadcast list and forwards
-/// frames until the hub shuts down or the client disconnects.
-fn serve_events(mut stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.write_all(http::SSE_HEAD.as_bytes()).is_err() {
-        return;
-    }
-    // Immediately confirm liveness with the current state, then follow
-    // the broadcast stream.
-    let seq = shared.seq.load(Ordering::SeqCst);
-    let first = http::sse_frame("epoch", &shared.epoch_record(seq));
-    if stream.write_all(first.as_bytes()).is_err() || stream.flush().is_err() {
-        return;
-    }
-    let rx: Receiver<String> = {
-        let (tx, rx) = std::sync::mpsc::channel();
-        shared
-            .subscribers
-            .lock()
-            .expect("subscriber lock poisoned")
-            .push(tx);
-        rx
-    };
-    // The sender side is dropped by the sampler at shutdown (after the
-    // `end` frame), which ends this loop; a client disconnect surfaces
-    // as a write error.
-    while let Ok(frame) = rx.recv() {
-        if stream.write_all(frame.as_bytes()).is_err() || stream.flush().is_err() {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +245,7 @@ mod tests {
     fn serving(reg: Registry, epoch_ms: u64) -> (Hub, SocketAddr) {
         let mut cfg = HubConfig::default();
         (cfg.epoch, cfg.addr) = (Duration::from_millis(epoch_ms), Some("127.0.0.1:0".into()));
-        let hub = Hub::start(reg, cfg).expect("hub start");
+        let hub = Hub::start(reg, cfg, || {}).expect("hub start");
         let bound = hub.local_addr().expect("bound");
         (hub, bound)
     }
@@ -350,6 +298,24 @@ mod tests {
     }
 
     #[test]
+    fn silent_connection_is_answered_400_and_closed() {
+        let (hub, addr) = serving(Registry::new(), 20);
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(http::READ_TIMEOUT * 5)).unwrap();
+        let t0 = Instant::now();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp)
+            .expect("server closes the connection");
+        assert!(t0.elapsed() < http::READ_TIMEOUT * 2, "{:?}", t0.elapsed());
+        assert!(resp.starts_with("HTTP/1.1 400 Bad Request"), "{resp}");
+        assert!(
+            resp.contains("{\"error\":\"reading request line: "),
+            "{resp}"
+        );
+        hub.shutdown();
+    }
+
+    #[test]
     fn events_stream_epochs_and_ends_cleanly() {
         let reg = Registry::new();
         let c = reg.counter("e_total", "events test");
@@ -394,6 +360,7 @@ mod tests {
                 addr: None,
                 log_path: Some(path.clone()),
             },
+            || {},
         )
         .expect("hub start");
         std::thread::sleep(Duration::from_millis(80));

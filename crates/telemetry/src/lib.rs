@@ -12,11 +12,11 @@
 //!   resets and empty epochs.
 //! * [`expo`] — Prometheus text exposition and a flat JSON rendering of
 //!   a registry snapshot.
-//! * [`hub`] — the observer: an epoch sampler, a crash-safe JSONL
-//!   epoch log, and a minimal HTTP server with `/metrics`, `/snapshot`,
-//!   and `/events` (SSE) endpoints.
-//! * [`http`] — the HTTP/1.1 request parser and response/SSE framing the
-//!   hub and the sweep daemon share.
+//! * [`hub`] — the observer: the process's one epoch loop (refresh, then
+//!   sample), a crash-safe JSONL epoch log, and `/metrics`, `/snapshot`
+//!   and `/events` (SSE) routes.
+//! * [`http`] — the one HTTP server the hub and the sweep daemon run on
+//!   (bounded request heads, a read timeout, SSE fan-out) and a client.
 //!
 //! Everything here observes; nothing feeds back. The simulation's
 //! determinism guarantee (bit-identical `RunStats` with telemetry on or
